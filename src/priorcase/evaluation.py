@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .index import atomic_open
+
 Qrels = dict[str, set[str]]
 #: query id -> ranked (doc_id, score) list, best first
 Run = dict[str, list[tuple[str, float]]]
@@ -207,7 +209,7 @@ def write_run(run: Run, path: str | Path, tag: str) -> None:
     """Write a run file, queries in ascending id order, ranks from 1."""
     if not tag or any(ch.isspace() for ch in tag):
         raise ValueError(f"run tag must be a single non-empty word, got {tag!r}")
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_open(path) as out:
         for qid in sorted(run):
             for rank, (doc_id, score) in enumerate(run[qid], start=1):
                 out.write(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")

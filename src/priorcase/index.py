@@ -5,6 +5,15 @@ functions need: document count, per-term postings with term frequencies,
 document frequencies, document lengths, the mean document length, and a
 fingerprint of the normalization pipeline used at build time.
 
+In memory the postings are CSR arrays (compressed sparse rows):
+
+    terms      ascending; term i's postings are offsets[i]:offsets[i + 1]
+    offsets    int64, n_terms + 1 entries, offsets[0] == 0
+    positions  int32 document positions, strictly ascending within a term
+    tfs        int32 term frequencies, all >= 1
+    doc_ids    ascending; position p is document doc_ids[p]
+    lengths    int64 token count per position
+
 Persisted layout (little-endian, version 1):
 
     magic   4 bytes  b"PCIX"
@@ -19,22 +28,28 @@ Persisted layout (little-endian, version 1):
             (u32 doc table position, u32 term frequency), ascending
     crc32   u32 over everything before it
 
-Writing sorts both tables, so the same documents and pipeline always
-produce byte-identical files.
+Both tables are written in their in-memory order, so the same documents
+and pipeline always produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import secrets
 import struct
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import IO, BinaryIO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 MAGIC = b"PCIX"
 FORMAT_VERSION = 1
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class IndexFormatError(ValueError):
@@ -55,31 +70,85 @@ class PipelineMismatchError(ValueError):
     """Query-side pipeline fingerprint differs from the index's."""
 
 
-@dataclass
-class CorpusIndex:
-    n_docs: int
-    postings: dict[str, list[tuple[str, int]]]
-    df: dict[str, int]
-    doc_len: dict[str, int]
-    avg_len: float
-    fingerprint: str
-    doc_ids: list[str] = field(default_factory=list)
+class _PostingsView(Mapping):
+    """Read-only `term -> [(doc_id, tf), ...]` view of the CSR arrays.
 
-    def __post_init__(self) -> None:
-        if not self.doc_ids:
-            self.doc_ids = sorted(self.doc_len)
+    Each lookup builds its list; the scorers read the arrays directly.
+    """
+
+    def __init__(self, index: CorpusIndex):
+        self._index = index
+
+    def __getitem__(self, term: str) -> list[tuple[str, int]]:
+        idx = self._index
+        tid = idx.term_ids[term]
+        lo, hi = idx.offsets[tid], idx.offsets[tid + 1]
+        ids = idx.doc_ids
+        pairs = zip(idx.positions[lo:hi].tolist(), idx.tfs[lo:hi].tolist())
+        return [(ids[p], tf) for p, tf in pairs]
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._index.term_ids
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.terms)
+
+    def __len__(self) -> int:
+        return len(self._index.terms)
+
+
+class CorpusIndex:
+    """CSR postings plus the corpus statistics derived from them.
+
+    `df`, `doc_len` and `postings` hold the same data keyed by term or
+    document id, for callers that look them up by name.
+    """
+
+    def __init__(
+        self,
+        terms: Sequence[str],
+        offsets: np.ndarray,
+        positions: np.ndarray,
+        tfs: np.ndarray,
+        doc_ids: Sequence[str],
+        lengths: np.ndarray,
+        fingerprint: str,
+    ):
+        self.terms = list(terms)
+        self.offsets = offsets
+        self.positions = positions
+        self.tfs = tfs
+        self.doc_ids = list(doc_ids)
+        self.lengths = lengths
+        self.fingerprint = fingerprint
+        for array in (offsets, positions, tfs, lengths):
+            array.flags.writeable = False
+        self.n_docs = len(self.doc_ids)
+        self.avg_len = int(lengths.sum()) / self.n_docs
+        self.term_ids = {term: i for i, term in enumerate(self.terms)}
+        self.df = dict(zip(self.terms, np.diff(offsets).tolist()))
+        self.doc_len = dict(zip(self.doc_ids, lengths.tolist()))
+        self.postings = _PostingsView(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorpusIndex):
             return NotImplemented
         return (
-            self.n_docs == other.n_docs
-            and self.postings == other.postings
-            and self.df == other.df
-            and self.doc_len == other.doc_len
-            and self.avg_len == other.avg_len
-            and self.fingerprint == other.fingerprint
+            self.fingerprint == other.fingerprint
+            and self.doc_ids == other.doc_ids
+            and self.terms == other.terms
+            and all(
+                np.array_equal(a, b)
+                for a, b in (
+                    (self.lengths, other.lengths),
+                    (self.offsets, other.offsets),
+                    (self.positions, other.positions),
+                    (self.tfs, other.tfs),
+                )
+            )
         )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def build_index(
@@ -91,38 +160,67 @@ def build_index(
     Rejects duplicate or malformed ids and corpora with no tokens at all
     (the mean document length would be undefined).
     """
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_len: dict[str, int] = {}
-    for doc_id, tokens in docs:
+    doc_ids: list[str] = []
+    lengths: list[int] = []
+    vocab: dict[str, int] = {}
+    term_chunks: list[np.ndarray] = []
+    tf_chunks: list[np.ndarray] = []
+    for doc_id, tokens in sorted(docs, key=lambda doc: doc[0]):
         if not doc_id or doc_id != doc_id.strip() or any(ch.isspace() for ch in doc_id):
             raise ValueError(f"invalid document id: {doc_id!r}")
-        if doc_id in doc_len:
+        if doc_ids and doc_ids[-1] == doc_id:
             raise DuplicateDocIdError(doc_id)
-        doc_len[doc_id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((doc_id, tf))
+        doc_ids.append(doc_id)
+        lengths.append(len(tokens))
+        counts = Counter(tokens)
+        term_chunks.append(np.array([vocab.setdefault(t, len(vocab)) for t in counts], np.int64))
+        tf_chunks.append(np.fromiter(counts.values(), np.int32, len(counts)))
 
-    if not doc_len:
+    if not doc_ids:
         raise ValueError("nothing to index: empty corpus")
-    total = sum(doc_len.values())
-    if total == 0:
+    if sum(lengths) == 0:
         raise ValueError("nothing to index: every document is empty")
 
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
-    df = {term: len(plist) for term, plist in postings.items()}
+    terms = sorted(vocab)
+    rank_of = np.empty(len(terms), np.int64)
+    rank_of[[vocab[t] for t in terms]] = np.arange(len(terms))
+    term_rank = rank_of[np.concatenate(term_chunks)]
+    doc_pos = np.repeat(np.arange(len(doc_ids)), [len(chunk) for chunk in tf_chunks])
+    by_term_then_doc = np.argsort(term_rank * len(doc_ids) + doc_pos)
+    offsets = np.zeros(len(terms) + 1, np.int64)
+    np.cumsum(np.bincount(term_rank, minlength=len(terms)), out=offsets[1:])
     return CorpusIndex(
-        n_docs=len(doc_len),
-        postings=postings,
-        df=df,
-        doc_len=doc_len,
-        avg_len=total / len(doc_len),
+        terms=terms,
+        offsets=offsets,
+        positions=doc_pos[by_term_then_doc].astype(np.int32),
+        tfs=np.concatenate(tf_chunks)[by_term_then_doc],
+        doc_ids=doc_ids,
+        lengths=np.array(lengths, np.int64),
         fingerprint=fingerprint,
     )
 
 
 # ---------------------------------------------------------------------------
 # persistence
+
+@contextmanager
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a temporary file beside `path` that replaces it on success.
+
+    If the block raises, the temporary file is removed and `path` is left
+    as it was, so readers never see a half-written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    out = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        with out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def _write_u32(out: BinaryIO, value: int) -> None:
     out.write(struct.pack("<I", value))
@@ -135,10 +233,10 @@ def _write_bytes(out: BinaryIO, data: bytes) -> None:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise IndexFormatError("corrupt index file: truncated")
         chunk = self.data[self.pos : self.pos + n]
@@ -151,7 +249,7 @@ class _Reader:
     def string(self) -> str:
         raw = self.take(self.u32())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"corrupt index file: bad UTF-8 ({exc})") from None
 
@@ -163,36 +261,44 @@ def persist_index(index: CorpusIndex, path: str | Path) -> None:
     _write_u32(buf, FORMAT_VERSION)
     _write_bytes(buf, index.fingerprint.encode("utf-8"))
 
-    doc_ids = sorted(index.doc_len)
-    doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    _write_u32(buf, len(doc_ids))
-    for doc_id in doc_ids:
+    _write_u32(buf, index.n_docs)
+    for doc_id, length in zip(index.doc_ids, index.lengths.tolist()):
         _write_bytes(buf, doc_id.encode("utf-8"))
-        _write_u32(buf, index.doc_len[doc_id])
+        _write_u32(buf, length)
 
-    terms = sorted(index.postings)
-    _write_u32(buf, len(terms))
-    for term in terms:
+    pairs = np.empty((len(index.positions), 2), "<u4")
+    pairs[:, 0] = index.positions
+    pairs[:, 1] = index.tfs
+    blob = memoryview(pairs.tobytes())
+    offsets = index.offsets.tolist()
+    _write_u32(buf, len(index.terms))
+    for i, term in enumerate(index.terms):
         _write_bytes(buf, term.encode("utf-8"))
-        plist = index.postings[term]
-        _write_u32(buf, len(plist))
-        flat = []
-        for doc_id, tf in plist:
-            flat.append(doc_pos[doc_id])
-            flat.append(tf)
-        buf.write(struct.pack(f"<{len(flat)}I", *flat))
+        _write_u32(buf, offsets[i + 1] - offsets[i])
+        buf.write(blob[8 * offsets[i] : 8 * offsets[i + 1]])
 
-    payload = buf.getvalue()
-    with open(path, "wb") as out:
+    payload = buf.getbuffer()
+    with atomic_open(path, binary=True) as out:
         out.write(payload)
         out.write(struct.pack("<I", zlib.crc32(payload)))
+
+
+def _corrupt(what: str) -> IndexFormatError:
+    return IndexFormatError(f"corrupt index file: {what}")
+
+
+def _strictly_ascending(items: Sequence[str]) -> bool:
+    return all(a < b for a, b in zip(items, items[1:]))
 
 
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index written by `persist_index`.
 
-    Raises IndexFormatError for unreadable or corrupt files and
-    IndexVersionError when the version tag is unsupported.
+    Raises IndexFormatError for unreadable, corrupt or structurally
+    inconsistent files and IndexVersionError when the version tag is
+    unsupported.  A file that loads satisfies every CSR invariant listed
+    in the module docstring, and its term frequencies sum to each
+    document's length.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -214,40 +320,57 @@ def load_index(path: str | Path) -> CorpusIndex:
     fingerprint = reader.string()
 
     n_docs = reader.u32()
-    doc_len: dict[str, int] = {}
+    doc_ids: list[str] = []
+    lengths: list[int] = []
     for _ in range(n_docs):
-        doc_id = reader.string()
-        doc_len[doc_id] = reader.u32()
-    if len(doc_len) != n_docs:
-        raise IndexFormatError("corrupt index file: repeated document id")
-    doc_ids = list(doc_len)
+        doc_ids.append(reader.string())
+        lengths.append(reader.u32())
 
     n_terms = reader.u32()
-    postings: dict[str, list[tuple[str, int]]] = {}
+    terms: list[str] = []
+    counts: list[int] = []
+    blocks: list[memoryview] = []
     for _ in range(n_terms):
-        term = reader.string()
-        count = reader.u32()
-        flat = struct.unpack(f"<{2 * count}I", reader.take(8 * count))
-        plist = []
-        for i in range(count):
-            pos = flat[2 * i]
-            if pos >= n_docs:
-                raise IndexFormatError("corrupt index file: posting points past document table")
-            plist.append((doc_ids[pos], flat[2 * i + 1]))
-        postings[term] = plist
+        terms.append(reader.string())
+        counts.append(reader.u32())
+        blocks.append(reader.take(8 * counts[-1]))
     if reader.pos != len(payload):
         raise IndexFormatError("corrupt index file: trailing bytes")
 
-    df = {term: len(plist) for term, plist in postings.items()}
-    total = sum(doc_len.values())
+    if n_docs == 0:
+        raise _corrupt("no documents")
+    if not _strictly_ascending(doc_ids):
+        raise _corrupt("document ids not strictly ascending")
+    if not _strictly_ascending(terms):
+        raise _corrupt("terms not strictly ascending")
+    if 0 in counts:
+        raise _corrupt("term with no postings")
+    pairs = np.frombuffer(b"".join(blocks), "<u4").reshape(-1, 2)
+    positions, tfs = pairs[:, 0], pairs[:, 1]
+    offsets = np.zeros(n_terms + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    if positions.size and positions.max() >= n_docs:
+        raise _corrupt("posting points past document table")
+    steps = np.diff(positions.astype(np.int64))
+    steps[offsets[1:-1] - 1] = 1  # a new term may start anywhere
+    if (steps <= 0).any():
+        raise _corrupt("positions not strictly ascending within a term")
+    if tfs.size and (tfs.min() == 0 or tfs.max() > _INT32_MAX):
+        raise _corrupt("term frequency outside [1, 2**31)")
+    doc_lengths = np.array(lengths, np.int64)
+    if not np.array_equal(np.bincount(positions, weights=tfs, minlength=n_docs), doc_lengths):
+        raise _corrupt("term frequencies do not sum to document lengths")
+    if not doc_lengths.any():
+        raise _corrupt("every document is empty")
+
     return CorpusIndex(
-        n_docs=n_docs,
-        postings=postings,
-        df=df,
-        doc_len=doc_len,
-        avg_len=total / n_docs if n_docs else 0.0,
-        fingerprint=fingerprint,
+        terms=terms,
+        offsets=offsets,
+        positions=positions.astype(np.int32),
+        tfs=tfs.astype(np.int32),
         doc_ids=doc_ids,
+        lengths=doc_lengths,
+        fingerprint=fingerprint,
     )
 
 

@@ -15,17 +15,23 @@ Scorers (see docs/scoring.md for the exact formulas):
 Every scorer returns a full ranking over the corpus: scores descending,
 ties broken by ascending document id.  All scorers are pure functions of
 (query, index, parameters), so scoring is safe to run concurrently.
+
+Each lexical scorer accumulates per-term impacts over the index's CSR
+postings into a dense float64 array with one slot per document; the
+corpus statistics they share are computed once, when the `Searcher` is
+built.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .embeddings import EmbeddingStore, aggregate_chunk_similarity
 from .index import CorpusIndex, PipelineMismatchError
@@ -76,26 +82,6 @@ class BM25Params:
         return 0.5 if variant is Variant.BM25L else 1.0
 
 
-SCORER_NAMES = (
-    "tfidf_cos",
-    "bm25",
-    "bm25_okapi",
-    "bm25l",
-    "bm25plus",
-    "fused",
-    "rake_tfidf",
-    "commonwords_bm25",
-    "embed",
-)
-
-_SCORER_VARIANTS = {
-    "bm25": Variant.ATIRE,
-    "bm25_okapi": Variant.OKAPI,
-    "bm25l": Variant.BM25L,
-    "bm25plus": Variant.BM25PLUS,
-}
-
-
 # ---------------------------------------------------------------------------
 # term-level scoring
 
@@ -119,6 +105,44 @@ def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+def _bm25_idf(
+    variant: Variant, df: int, n_docs: int, epsilon: float, avg_idf: float | None
+) -> float:
+    """The variant's IDF of a term with document frequency `df`."""
+    if variant is Variant.ATIRE:
+        return math.log(n_docs / df)
+    if variant is Variant.OKAPI:
+        idf = math.log((n_docs - df + 0.5) / (df + 0.5))
+        if idf < 0:
+            if avg_idf is None:
+                raise ValueError("okapi needs the corpus mean idf to floor negative idf")
+            idf = epsilon * avg_idf
+        return idf
+    if variant is Variant.BM25L:
+        return math.log((n_docs + 1.0) / (df + 0.5))
+    if variant is Variant.BM25PLUS:
+        return math.log((n_docs + 1.0) / df)
+    raise ValueError(f"unknown variant: {variant!r}")
+
+
+def _bm25_impact(tf, norm, idf: float, params: BM25Params, variant: Variant):
+    """Impact of a term with frequency `tf` in documents of length norm `norm`.
+
+    `tf` and `norm` are both scalars or both arrays over one term's
+    postings; either way the float64 operations run in the same order,
+    so the scalar and array paths give identical bits.
+    """
+    k1 = params.k1
+    if variant is Variant.BM25L:
+        delta = params.delta_for(variant)
+        ctd = tf / norm
+        return idf * (k1 + 1.0) * (ctd + delta) / (k1 + ctd + delta)
+    if variant is Variant.BM25PLUS:
+        delta = params.delta_for(variant)
+        return idf * (delta + (k1 + 1.0) * tf / (k1 * norm + tf))
+    return idf * (k1 + 1.0) * tf / (k1 * norm + tf)
 
 
 def bm25_term_score(
@@ -146,44 +170,24 @@ def bm25_term_score(
         return 0.0
     if avg_len <= 0:
         raise ValueError("avg_len must be > 0")
-
-    k1, b = params.k1, params.b
-    norm = 1.0 - b + b * (doc_len / avg_len)
-
-    if variant is Variant.ATIRE:
-        idf = math.log(n_docs / df)
-        return idf * (k1 + 1.0) * tf / (k1 * norm + tf)
-    if variant is Variant.OKAPI:
-        idf = math.log((n_docs - df + 0.5) / (df + 0.5))
-        if idf < 0:
-            if avg_idf is None:
-                raise ValueError("okapi needs the corpus mean idf to floor negative idf")
-            idf = params.epsilon * avg_idf
-        return idf * (k1 + 1.0) * tf / (k1 * norm + tf)
-    if variant is Variant.BM25L:
-        delta = params.delta_for(variant)
-        idf = math.log((n_docs + 1.0) / (df + 0.5))
-        ctd = tf / norm
-        return idf * (k1 + 1.0) * (ctd + delta) / (k1 + ctd + delta)
-    if variant is Variant.BM25PLUS:
-        delta = params.delta_for(variant)
-        idf = math.log((n_docs + 1.0) / df)
-        return idf * (delta + (k1 + 1.0) * tf / (k1 * norm + tf))
-    raise ValueError(f"unknown variant: {variant!r}")
+    norm = 1.0 - params.b + params.b * (doc_len / avg_len)
+    idf = _bm25_idf(variant, df, n_docs, params.epsilon, avg_idf)
+    return _bm25_impact(tf, norm, idf, params, variant)
 
 
 def okapi_mean_idf(index: CorpusIndex) -> float:
     """Mean raw Okapi IDF over the whole vocabulary (may be negative)."""
-    if not index.df:
-        return 0.0
     n = index.n_docs
     total = sum(math.log((n - df + 0.5) / (df + 0.5)) for df in index.df.values())
     return total / len(index.df)
 
 
-def fuse_product(bm25: float, cosine: float) -> float:
-    """Product fusion of a BM25 score and a cosine similarity."""
-    if not (math.isfinite(bm25) and math.isfinite(cosine)):
+def fuse_product(bm25, cosine):
+    """Product fusion of BM25 scores and cosine similarities.
+
+    Takes two floats or two equally shaped arrays.
+    """
+    if not (np.isfinite(bm25).all() and np.isfinite(cosine).all()):
         raise ValueError("fusion inputs must be finite")
     return bm25 * cosine
 
@@ -231,6 +235,10 @@ class Searcher:
     Optional resources: `corpus_texts` (id -> raw text) is needed by
     rake_tfidf, `embeddings` by embed.  When `config` is given, its
     fingerprint must match the one recorded in the index.
+
+    Every corpus statistic a scorer reads (BM25 length norms, the Okapi
+    mean IDF, TF-IDF document norms, the RAKE vocabulary and its norms)
+    is computed here, once; scoring only reads them.
     """
 
     def __init__(
@@ -256,155 +264,146 @@ class Searcher:
         self.params = params
         self.embeddings = embeddings
         self.corpus_texts = corpus_texts
-        self._lock = threading.Lock()
-        self._okapi_avg_idf: float | None = None
-        self._sq_norms: dict[str, float] | None = None
-        self._rake_vocab: frozenset[str] | None = None
-        self._rake_sq_norms: dict[str, float] | None = None
 
-    # -- cached corpus statistics ------------------------------------------
+        self._offsets = index.offsets.tolist()
+        self._df = np.diff(index.offsets)
+        self._norm = 1.0 - params.b + params.b * (index.lengths / index.avg_len)
+        self._okapi_avg_idf = okapi_mean_idf(index)
+        n = index.n_docs
+        self._idf = np.array([math.log(n / df) for df in index.df.values()])
+        self._sq_norms = self._squared_norms(np.ones(len(index.terms), bool))
+        self._rake_vocab: frozenset[str] = frozenset()
+        self._rake_sq_norms = np.zeros(n)
+        if corpus_texts is not None and config is not None:
+            self._rake_vocab = build_rake_vocabulary(
+                sorted(corpus_texts.items()), config, stopset
+            )
+            self._rake_sq_norms = self._squared_norms(
+                np.array([term in self._rake_vocab for term in index.terms], bool)
+            )
 
-    def _idf(self, term: str) -> float:
-        return math.log(self.index.n_docs / self.index.df[term])
+    # -- postings access -------------------------------------------------------
 
-    def _okapi_floor_base(self) -> float:
-        with self._lock:
-            if self._okapi_avg_idf is None:
-                self._okapi_avg_idf = okapi_mean_idf(self.index)
-            return self._okapi_avg_idf
+    def _postings(
+        self, counts: Iterable[tuple[str, int]]
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """(term id, count, positions, tfs) of each in-vocabulary term."""
+        idx = self.index
+        for term, count in counts:
+            tid = idx.term_ids.get(term)
+            if tid is not None:
+                lo, hi = self._offsets[tid], self._offsets[tid + 1]
+                yield tid, count, idx.positions[lo:hi], idx.tfs[lo:hi]
 
-    def _sq_norms_for(self, terms: Iterable[str]) -> dict[str, float]:
-        """Per-document squared TF-IDF norms restricted to `terms`."""
-        sq: dict[str, float] = {}
-        for term in terms:
-            plist = self.index.postings.get(term)
-            if not plist:
-                continue
-            idf = self._idf(term)
-            if idf == 0.0:
-                continue
-            for doc_id, tf in plist:
-                w = tf * idf
-                sq[doc_id] = sq.get(doc_id, 0.0) + w * w
-        return sq
+    def _squared_norms(self, keep: np.ndarray) -> np.ndarray:
+        """Per-document sums of squared TF-IDF weights over the terms in
+        `keep` (a mask over term ids), added up in term order."""
+        idx = self.index
+        in_kept = np.repeat(keep, self._df)
+        idf = np.repeat(self._idf[keep], self._df[keep])
+        w = idx.tfs[in_kept] * idf
+        return np.bincount(idx.positions[in_kept], weights=w * w, minlength=idx.n_docs)
 
-    def _global_sq_norms(self) -> dict[str, float]:
-        with self._lock:
-            if self._sq_norms is None:
-                self._sq_norms = self._sq_norms_for(self.index.postings)
-            return self._sq_norms
+    # -- individual scorers --------------------------------------------------
 
-    def _corpus_rake_vocab(self) -> frozenset[str]:
+    def _bm25(self, query: TokenStream, variant: Variant) -> np.ndarray:
+        n = self.index.n_docs
+        acc = np.zeros(n)
+        for _tid, qcount, pos, tfs in self._postings(Counter(query).items()):
+            idf = _bm25_idf(variant, len(pos), n, self.params.epsilon, self._okapi_avg_idf)
+            acc[pos] += qcount * _bm25_impact(tfs, self._norm[pos], idf, self.params, variant)
+        return acc
+
+    def _tfidf(
+        self,
+        query: TokenStream,
+        vocab: frozenset[str] | None = None,
+        sq_norms: np.ndarray | None = None,
+    ) -> np.ndarray:
+        scores = np.zeros(self.index.n_docs)
+        if vocab is not None:
+            query = [term for term in query if term in vocab]
+        weighted = []
+        for tid, tf, pos, tfs in self._postings(Counter(query).items()):
+            idf = float(self._idf[tid])
+            weight = tf * idf
+            if weight != 0.0:
+                weighted.append((weight, idf, pos, tfs))
+        if not weighted:
+            return scores
+        query_norm = math.sqrt(sum(w * w for w, _idf, _pos, _tfs in weighted))
+
+        dots = np.zeros(self.index.n_docs)
+        for qw, idf, pos, tfs in weighted:
+            dots[pos] += qw * tfs * idf
+        if sq_norms is None:
+            sq_norms = self._sq_norms
+        nonzero = sq_norms > 0.0
+        scores[nonzero] = dots[nonzero] / (query_norm * np.sqrt(sq_norms[nonzero]))
+        return scores
+
+    def _fused(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
+        return fuse_product(self._bm25(query, Variant.ATIRE), self._tfidf(query))
+
+    def _rake_tfidf(self, query: TokenStream, _query_id, query_text: str | None) -> np.ndarray:
+        if query_text is None:
+            raise ValueError("rake_tfidf requires the raw query text")
         if self.corpus_texts is None:
             raise ValueError("rake_tfidf requires the raw corpus texts")
         if self.config is None:
             raise ValueError("rake_tfidf requires the normalization pipeline configuration")
-        with self._lock:
-            if self._rake_vocab is None:
-                self._rake_vocab = build_rake_vocabulary(
-                    sorted(self.corpus_texts.items()), self.config, self.stopwords
-                )
-                self._rake_sq_norms = self._sq_norms_for(sorted(self._rake_vocab))
-            return self._rake_vocab
-
-    # -- individual scorers --------------------------------------------------
-
-    def _bm25_scores(self, query: TokenStream, variant: Variant) -> dict[str, float]:
-        idx = self.index
-        avg_idf = self._okapi_floor_base() if variant is Variant.OKAPI else None
-        scores: dict[str, float] = {}
-        for term, qcount in Counter(query).items():
-            plist = idx.postings.get(term)
-            if not plist:
-                continue
-            df = idx.df[term]
-            for doc_id, tf in plist:
-                contrib = bm25_term_score(
-                    tf, df, idx.n_docs, idx.doc_len[doc_id], idx.avg_len,
-                    self.params, variant, avg_idf,
-                )
-                scores[doc_id] = scores.get(doc_id, 0.0) + qcount * contrib
-        return scores
-
-    def _tfidf_scores(
-        self,
-        query: TokenStream,
-        vocab: frozenset[str] | None = None,
-        sq_norms: dict[str, float] | None = None,
-    ) -> dict[str, float]:
-        idx = self.index
-        query_vec: dict[str, float] = {}
-        for term, tf in Counter(query).items():
-            if vocab is not None and term not in vocab:
-                continue
-            df = idx.df.get(term)
-            if df is None:
-                continue
-            weight = tf * self._idf(term)
-            if weight != 0.0:
-                query_vec[term] = weight
-        if not query_vec:
-            return {}
-        query_norm = math.sqrt(sum(w * w for w in query_vec.values()))
-
-        dots: dict[str, float] = {}
-        for term, qw in query_vec.items():
-            idf = self._idf(term)
-            for doc_id, tf in idx.postings[term]:
-                dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * idf
-        if sq_norms is None:
-            sq_norms = self._global_sq_norms()
-        scores = {}
-        for doc_id, dot in dots.items():
-            sq = sq_norms.get(doc_id, 0.0)
-            scores[doc_id] = dot / (query_norm * math.sqrt(sq)) if sq > 0.0 else 0.0
-        return scores
-
-    def _rake_tfidf_scores(self, query: TokenStream, query_text: str) -> dict[str, float]:
-        base_vocab = self._corpus_rake_vocab()
         stopset = self.stopwords
         query_words: set[str] = set()
         top_k = default_keyword_count(query_text, stopset)
         for phrase, _score in rake_extract(query_text, stopset, top_k):
             query_words.update(tokenize_normalize(phrase, self.config, stopset))
-        vocab = frozenset(base_vocab | query_words)
-
-        extras = sorted(
-            term for term in query_words - base_vocab if term in self.index.postings
-        )
-        assert self._rake_sq_norms is not None
+        base_vocab = self._rake_vocab
+        term_ids = self.index.term_ids
+        extras = [term_ids[t] for t in query_words - base_vocab if t in term_ids]
+        sq_norms = self._rake_sq_norms
         if extras:
-            sq_norms = dict(self._rake_sq_norms)
-            for doc_id, sq in self._sq_norms_for(extras).items():
-                sq_norms[doc_id] = sq_norms.get(doc_id, 0.0) + sq
-        else:
-            sq_norms = self._rake_sq_norms
-        return self._tfidf_scores(query, vocab=vocab, sq_norms=sq_norms)
+            keep = np.zeros(len(self.index.terms), bool)
+            keep[extras] = True
+            sq_norms = sq_norms + self._squared_norms(keep)
+        return self._tfidf(query, vocab=base_vocab | query_words, sq_norms=sq_norms)
 
-    def _commonwords_scores(self, query: TokenStream) -> dict[str, float]:
-        overlap: dict[str, int] = {}
-        for term in set(query):
-            for doc_id, _tf in self.index.postings.get(term, ()):
-                overlap[doc_id] = overlap.get(doc_id, 0) + 1
-        bm25 = self._bm25_scores(query, Variant.ATIRE)
-        return {doc_id: count * bm25.get(doc_id, 0.0) for doc_id, count in overlap.items()}
+    def _commonwords(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
+        overlap = np.zeros(self.index.n_docs)
+        for _tid, _count, pos, _tfs in self._postings((term, 1) for term in set(query)):
+            overlap[pos] += 1
+        return overlap * self._bm25(query, Variant.ATIRE)
 
-    def _embed_scores(self, query_id: str) -> dict[str, float]:
+    def _embed(self, _query, query_id: str | None, _query_text) -> np.ndarray:
+        if query_id is None:
+            raise ValueError("embed scorer requires a query id")
         if self.embeddings is None:
             raise ValueError("embed scorer requires an embedding store")
         if query_id not in self.embeddings:
             raise ValueError(f"embedding store has no vector for query {query_id!r}")
         query_vec = self.embeddings.query_vector(query_id)
-        scores = {}
-        for doc_id in self.index.doc_len:
+        scores = np.zeros(self.index.n_docs)
+        for pos, doc_id in enumerate(self.index.doc_ids):
             if doc_id not in self.embeddings:
                 raise ValueError(f"embedding store has no vectors for document {doc_id!r}")
-            scores[doc_id] = aggregate_chunk_similarity(
-                query_vec, self.embeddings.chunks(doc_id)
-            )
+            scores[pos] = aggregate_chunk_similarity(query_vec, self.embeddings.chunks(doc_id))
         return scores
 
     # -- public API ------------------------------------------------------------
+
+    def _scores(
+        self, scorer: str, query: TokenStream, query_id: str | None, query_text: str | None
+    ) -> np.ndarray:
+        """Dense scores by document position."""
+        fn = _SCORERS.get(scorer)
+        if fn is None:
+            raise ValueError(
+                f"unknown scorer {scorer!r}; expected one of {', '.join(SCORER_NAMES)}"
+            )
+        return fn(self, query, query_id, query_text)
+
+    def _ranking(self, scores: np.ndarray, order: np.ndarray) -> Ranking:
+        ids = self.index.doc_ids
+        return [(ids[p], s) for p, s in zip(order.tolist(), scores[order].tolist())]
 
     def score(
         self,
@@ -414,32 +413,8 @@ class Searcher:
         query_text: str | None = None,
     ) -> Ranking:
         """Full ranking of the corpus for one query under `scorer`."""
-        if scorer in _SCORER_VARIANTS:
-            scores = self._bm25_scores(query, _SCORER_VARIANTS[scorer])
-        elif scorer == "tfidf_cos":
-            scores = self._tfidf_scores(query)
-        elif scorer == "fused":
-            bm25 = self._bm25_scores(query, Variant.ATIRE)
-            cos = self._tfidf_scores(query)
-            scores = {
-                doc_id: fuse_product(bm25.get(doc_id, 0.0), cos.get(doc_id, 0.0))
-                for doc_id in bm25.keys() | cos.keys()
-            }
-        elif scorer == "rake_tfidf":
-            if query_text is None:
-                raise ValueError("rake_tfidf requires the raw query text")
-            scores = self._rake_tfidf_scores(query, query_text)
-        elif scorer == "commonwords_bm25":
-            scores = self._commonwords_scores(query)
-        elif scorer == "embed":
-            if query_id is None:
-                raise ValueError("embed scorer requires a query id")
-            scores = self._embed_scores(query_id)
-        else:
-            raise ValueError(
-                f"unknown scorer {scorer!r}; expected one of {', '.join(SCORER_NAMES)}"
-            )
-        return rank_documents(scores, self.index.doc_len)
+        scores = self._scores(scorer, query, query_id, query_text)
+        return self._ranking(scores, np.argsort(-scores, kind="stable"))
 
     def search_all(
         self,
@@ -461,8 +436,8 @@ class Searcher:
         def one(item: tuple[str, str]) -> tuple[str, Ranking]:
             qid, text = item
             tokens = tokenize_normalize(text, self.config, self.stopwords)
-            ranking = self.score(scorer, tokens, query_id=qid, query_text=text)
-            return qid, ranking[:top_n]
+            scores = self._scores(scorer, tokens, qid, text)
+            return qid, self._ranking(scores, _top_positions(scores, top_n))
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -470,6 +445,44 @@ class Searcher:
         else:
             results = [one(item) for item in queries]
         return dict(sorted(results))
+
+
+def _top_positions(scores: np.ndarray, top_n: int) -> np.ndarray:
+    """Positions of the `top_n` best scores, by (-score, position).
+
+    Equals the first `top_n` entries of a full stable sort: every
+    document tied with the `top_n`-th score is a candidate, so the
+    lowest positions (ids) win the ties at the cut-off.
+    """
+    if top_n < scores.size:
+        cut = scores[np.argpartition(-scores, top_n - 1)[top_n - 1]]
+        candidates = np.flatnonzero(scores >= cut)
+    else:
+        candidates = np.arange(scores.size)
+    order = np.argsort(-scores[candidates], kind="stable")
+    return candidates[order[:top_n]]
+
+
+_Scorer = Callable[[Searcher, TokenStream, "str | None", "str | None"], np.ndarray]
+
+
+def _bm25_scorer(variant: Variant) -> _Scorer:
+    return lambda searcher, query, _query_id, _query_text: searcher._bm25(query, variant)
+
+
+# The one table of scorers: names, CLI choices and dispatch all read it.
+_SCORERS: dict[str, _Scorer] = {
+    "tfidf_cos": lambda searcher, query, _query_id, _query_text: searcher._tfidf(query),
+    "bm25": _bm25_scorer(Variant.ATIRE),
+    "bm25_okapi": _bm25_scorer(Variant.OKAPI),
+    "bm25l": _bm25_scorer(Variant.BM25L),
+    "bm25plus": _bm25_scorer(Variant.BM25PLUS),
+    "fused": Searcher._fused,
+    "rake_tfidf": Searcher._rake_tfidf,
+    "commonwords_bm25": Searcher._commonwords,
+    "embed": Searcher._embed,
+}
+SCORER_NAMES = tuple(_SCORERS)
 
 
 def score_query(

@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from priorcase.index import PipelineMismatchError, build_index
+from priorcase.index import PipelineMismatchError, build_index, load_index, persist_index
 from priorcase.rankers import (
+    SCORER_NAMES,
     BM25Params,
     Searcher,
     Variant,
@@ -20,9 +22,15 @@ from priorcase.rankers import (
     score_query,
     tfidf_weight,
 )
-from priorcase.textproc import PRESET_FULL, PRESET_STANDARD, pipeline_fingerprint
+from priorcase.stopwords import ENGLISH_STOPWORDS
+from priorcase.textproc import (
+    PRESET_FULL,
+    PRESET_STANDARD,
+    pipeline_fingerprint,
+    tokenize_normalize,
+)
 
-from conftest import make_random_store
+from conftest import make_random_corpus, make_random_query, make_random_store, random_config
 from oracles import naive_bm25, naive_rank
 
 
@@ -296,3 +304,171 @@ def test_okapi_mean_idf_matches_direct_sum(small_index):
         math.log((n - df + 0.5) / (df + 0.5)) for df in small_index.df.values()
     ) / len(small_index.df)
     assert okapi_mean_idf(small_index) == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# exact reference: the per-posting loops the array core replaced
+
+def reference_ranking(index, scorer, query, params=BM25Params()):
+    """Score one query posting by posting, then fully sort.
+
+    This is the dict-of-postings implementation the dense accumulator
+    replaced; `Searcher.score` must equal it bit for bit.
+    """
+    n = index.n_docs
+    avg_idf = okapi_mean_idf(index)
+
+    def bm25(variant):
+        scores = {}
+        for term, qcount in Counter(query).items():
+            for doc_id, tf in index.postings.get(term, ()):
+                contrib = bm25_term_score(tf, index.df[term], n, index.doc_len[doc_id],
+                                          index.avg_len, params, variant, avg_idf)
+                scores[doc_id] = scores.get(doc_id, 0.0) + qcount * contrib
+        return scores
+
+    def tfidf():
+        def idf(term):
+            return math.log(n / index.df[term])
+
+        sq = {}
+        for term, plist in index.postings.items():
+            for doc_id, tf in plist:
+                w = tf * idf(term)
+                sq[doc_id] = sq.get(doc_id, 0.0) + w * w
+        qvec = {}
+        for term, tf in Counter(query).items():
+            if term in index.df and tf * idf(term) != 0.0:
+                qvec[term] = tf * idf(term)
+        if not qvec:
+            return {}
+        qnorm = math.sqrt(sum(w * w for w in qvec.values()))
+        dots = {}
+        for term, qw in qvec.items():
+            for doc_id, tf in index.postings[term]:
+                dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * idf(term)
+        return {d: dot / (qnorm * math.sqrt(sq[d])) if sq.get(d, 0.0) > 0.0 else 0.0
+                for d, dot in dots.items()}
+
+    variants = {"bm25": Variant.ATIRE, "bm25_okapi": Variant.OKAPI,
+                "bm25l": Variant.BM25L, "bm25plus": Variant.BM25PLUS}
+    if scorer in variants:
+        scores = bm25(variants[scorer])
+    elif scorer == "tfidf_cos":
+        scores = tfidf()
+    elif scorer == "fused":
+        b, c = bm25(Variant.ATIRE), tfidf()
+        scores = {d: fuse_product(b.get(d, 0.0), c.get(d, 0.0)) for d in b.keys() | c.keys()}
+    elif scorer == "commonwords_bm25":
+        overlap = Counter(d for term in set(query) for d, _tf in index.postings.get(term, ()))
+        b = bm25(Variant.ATIRE)
+        scores = {d: count * b.get(d, 0.0) for d, count in overlap.items()}
+    else:
+        raise AssertionError(scorer)
+    return rank_documents(scores, index.doc_ids)
+
+
+LEXICAL = ("bm25", "bm25_okapi", "bm25l", "bm25plus", "tfidf_cos", "fused", "commonwords_bm25")
+
+
+def _random_setup(rng):
+    config = random_config(rng)
+    raw = make_random_corpus(rng, vocab_limit=rng.choice([6, 14, 25]))
+    docs = {d: tokenize_normalize(t, config, ENGLISH_STOPWORDS) for d, t in raw.items()}
+    if not any(docs.values()):
+        return None
+    # shuffled input: positions must follow the ids, not the input order
+    items = list(docs.items())
+    rng.shuffle(items)
+    return config, raw, build_index(items, pipeline_fingerprint(config))
+
+
+class TestExactReference:
+    def test_scores_equal_per_posting_reference(self):
+        rng = random.Random(4242)
+        checked = 0
+        for _ in range(120):
+            setup = _random_setup(rng)
+            if setup is None:
+                continue
+            config, raw, index = setup
+            params = rng.choice([BM25Params(), BM25Params(k1=0.9, b=0.4, delta=0.7),
+                                 BM25Params(k1=2.0, b=1.0, epsilon=0.5)])
+            searcher = Searcher(index, config=config, params=params)
+            for _q in range(3):
+                query = tokenize_normalize(make_random_query(rng, raw), config)
+                for scorer in LEXICAL:
+                    assert searcher.score(scorer, query) == reference_ranking(
+                        index, scorer, query, params), scorer
+                    checked += 1
+        assert checked > 1500
+
+    def test_search_all_equals_reference_prefix(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            setup = _random_setup(rng)
+            if setup is None:
+                continue
+            config, raw, index = setup
+            searcher = Searcher(index, config=config)
+            queries = [(f"q{i}", make_random_query(rng, raw)) for i in range(3)]
+            top_n = rng.randint(1, index.n_docs + 2)
+            for scorer in LEXICAL:
+                run = searcher.search_all(queries, scorer, top_n=top_n)
+                for qid, text in queries:
+                    full = reference_ranking(index, scorer, tokenize_normalize(text, config))
+                    assert run[qid] == full[:top_n], (scorer, top_n)
+
+    def test_ties_at_cut_off_keep_lowest_ids(self):
+        # d9 scores highest; d0..d8 tie, and the cut-off falls among them
+        docs = [(f"d{i}", ["court", "law"]) for i in range(9)]
+        docs += [("d9", ["court", "court", "law"]), ("e0", ["tax", "law"])]
+        fp = pipeline_fingerprint(PRESET_STANDARD)
+        searcher = Searcher(build_index(docs[::-1], fp), config=PRESET_STANDARD)
+        run = searcher.search_all([("q", "court")], "bm25", top_n=4)
+        assert [d for d, _ in run["q"]] == ["d9", "d0", "d1", "d2"]
+        assert run["q"][1][1] == run["q"][3][1] > 0.0
+        # zero scores tie too: the lowest ids fill the list after the match
+        run = searcher.search_all([("q", "tax")], "bm25", top_n=3)
+        assert [d for d, _ in run["q"]] == ["e0", "d0", "d1"]
+        assert run["q"][1][1] == 0.0
+
+    def test_persisted_copy_searches_identically(self, tmp_path):
+        rng = random.Random(5150)
+        for trial in range(10):
+            setup = _random_setup(rng)
+            if setup is None:
+                continue
+            config, raw, built = setup
+            path = tmp_path / f"{trial}.idx"
+            persist_index(built, path)
+            loaded = load_index(path)
+            assert loaded == built
+            store = make_random_store(rng, built.doc_ids, ["q0", "q1"])
+            queries = [(f"q{i}", make_random_query(rng, raw)) for i in range(2)]
+            runs = [
+                {scorer: Searcher(idx, config=config, embeddings=store, corpus_texts=raw)
+                 .search_all(queries, scorer, top_n=5) for scorer in SCORER_NAMES}
+                for idx in (built, loaded)
+            ]
+            assert runs[0] == runs[1]
+
+
+class TestOkapiNegativeFloor:
+    def test_common_terms_lower_every_score(self):
+        # df = N for both terms: every raw IDF, and so the mean, is negative
+        idx = build_index([("d1", ["a", "b"]), ("d2", ["a", "b"]), ("d3", ["a", "b"])], "fp")
+        assert okapi_mean_idf(idx) == pytest.approx(math.log(0.5 / 3.5))
+        ranking = score_query(["a", "b"], idx, "bm25_okapi")
+        # each term: floor 0.25 * ln(1/7) times a tf factor of exactly 1
+        assert [s for _d, s in ranking] == pytest.approx([0.5 * math.log(1 / 7)] * 3)
+        assert all(s < 0.0 for _d, s in ranking)
+
+    def test_document_without_query_terms_ranks_first(self):
+        idx = build_index(
+            [("d1", ["a", "b"]), ("d2", ["a", "b"]), ("d3", ["a", "b"]), ("d4", ["c"])], "fp"
+        )
+        assert okapi_mean_idf(idx) < 0.0
+        ranking = score_query(["a", "b"], idx, "bm25_okapi")
+        assert ranking[0] == ("d4", 0.0)
+        assert all(s < 0.0 for _d, s in ranking[1:])
