@@ -11,7 +11,6 @@ from pathlib import Path
 from priorcase import (
     ENGLISH_STOPWORDS,
     aggregate_chunk_similarity,
-    chunk_tokens,
     load_embeddings,
     rake_extract,
     read_corpus_dir,
@@ -31,9 +30,10 @@ print("\nhow many keywords would be kept by default:",
       default_keyword_count(text, ENGLISH_STOPWORDS))
 
 # Long documents are split into fixed-size token chunks before any
-# embedding model sees them; chunks concatenate back to the original.
+# embedding model sees them (docs/scoring.md); the vectors are computed
+# outside priorcase, so the split is a plain slice here.
 tokens = [f"tok{i}" for i in range(1030)]
-chunks = chunk_tokens(tokens, max_len=512)
+chunks = [tokens[i : i + 512] for i in range(0, len(tokens), 512)]
 print("\n1030 tokens chunked at 512 ->", [len(c) for c in chunks])
 
 # The sidecar holds one vector per chunk; a document's similarity to a

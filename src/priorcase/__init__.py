@@ -40,13 +40,9 @@ from .rankers import (
     Variant,
     bm25_term_score,
     build_rake_vocabulary,
-    chunk_tokens,
-    cosine_similarity,
     fuse_product,
     okapi_mean_idf,
     rank_documents,
-    score_query,
-    tfidf_weight,
 )
 from .stopwords import ENGLISH_STOPWORDS, load_stopword_file
 from .textproc import (

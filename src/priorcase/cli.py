@@ -8,6 +8,8 @@ values.  All failures exit non-zero with a one-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import re
 import sys
 from pathlib import Path
 from typing import Callable
@@ -36,6 +38,9 @@ DEFAULT_TOP_N = 100
 DEFAULT_COMPARE_SCORERS = "fused,tfidf_cos,bm25,commonwords_bm25"
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# '#' opens a comment at line start or after whitespace, so values such
+# as `corpus = /data/case#1` keep their '#'.
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -43,7 +48,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     settings: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -92,20 +97,14 @@ def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
     preset_name = str(settings.get("preset", "standard")).lower()
     if preset_name not in PRESETS:
         raise ValueError(f"unknown preset {preset_name!r}; expected none, standard or full")
-    base = PRESETS[preset_name]
-    fields = {
-        "lowercase": base.lowercase,
-        "remove_noise": base.remove_noise,
-        "remove_stopwords": base.remove_stopwords,
-        "stem": base.stem,
-        "min_token_len": base.min_token_len,
+    overrides = {
+        key: _as_bool(settings, key)
+        for key in ("lowercase", "remove_noise", "remove_stopwords", "stem")
+        if settings.get(key) is not None
     }
-    for key in ("lowercase", "remove_noise", "remove_stopwords", "stem"):
-        if settings.get(key) is not None:
-            fields[key] = _as_bool(settings, key)
     if settings.get("min_token_len") is not None:
-        fields["min_token_len"] = _as_int(settings, "min_token_len")
-    config = PipelineConfig(**fields)
+        overrides["min_token_len"] = _as_int(settings, "min_token_len")
+    config = dataclasses.replace(PRESETS[preset_name], **overrides)
 
     if settings.get("stopword_file"):
         stopwords = load_stopword_file(_existing_path(settings["stopword_file"], "stopword file"))
@@ -190,6 +189,16 @@ def cmd_search(settings: dict) -> int:
     run = searcher.search_all(queries, scorer, top_n=top_n, workers=workers)
     write_run(run, out, tag)
     print(f"ranked {len(run)} queries with {scorer} -> {out}")
+    # queries that normalize to no tokens, or to none in the index
+    unmatched = sum(
+        not any(t in searcher.index.term_ids
+                for t in tokenize_normalize(text, searcher.config, searcher.stopwords))
+        for _qid, text in queries
+    )
+    if unmatched:
+        print(f"warning: {unmatched} of {len(queries)} queries have no in-vocabulary "
+              "terms after normalization; lexical scorers rank every document at 0 "
+              "for them", file=sys.stderr)
     return 0
 
 

@@ -37,23 +37,9 @@ def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...
     return phrases
 
 
-def rake_extract(
-    raw: str,
-    stopwords: Iterable[str],
-    top_k: int,
-) -> list[tuple[str, float]]:
-    """Top scoring keyword phrases of a single text.
-
-    Returns up to `top_k` distinct phrases as (phrase, score), sorted by
-    descending score with lexicographic tie-breaking.  Text containing
-    only stopwords and punctuation yields an empty list.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    phrases = candidate_phrases(raw, stopwords)
-    if not phrases:
-        return []
-
+def _rank_phrases(phrases: list[tuple[str, ...]]) -> list[tuple[str, float]]:
+    """Distinct candidate phrases as (phrase, score), sorted by descending
+    score with lexicographic tie-breaking."""
     freq: dict[str, int] = defaultdict(int)
     degree: dict[str, int] = defaultdict(int)
     for phrase in phrases:
@@ -68,8 +54,27 @@ def rake_extract(
         if text not in scored:
             scored[text] = sum(word_score[w] for w in phrase)
 
-    ranked = sorted(scored.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:top_k]
+    return sorted(scored.items(), key=lambda item: (-item[1], item[0]))
+
+
+def rake_extract(
+    raw: str,
+    stopwords: Iterable[str],
+    top_k: int,
+) -> list[tuple[str, float]]:
+    """Top scoring keyword phrases of a single text.
+
+    Returns up to `top_k` distinct phrases as (phrase, score), sorted by
+    descending score with lexicographic tie-breaking.  Text containing
+    only stopwords and punctuation yields an empty list.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    return _rank_phrases(candidate_phrases(raw, stopwords))[:top_k]
+
+
+def _keyword_count(phrases: list[tuple[str, ...]]) -> int:
+    return max(10, math.ceil(len({w for phrase in phrases for w in phrase}) / 3))
 
 
 def default_keyword_count(raw: str, stopwords: Iterable[str]) -> int:
@@ -78,5 +83,16 @@ def default_keyword_count(raw: str, stopwords: Iterable[str]) -> int:
     `distinct` is the number of distinct words over all candidate
     phrases, i.e. the vertex count of the co-occurrence graph.
     """
-    words = {w for phrase in candidate_phrases(raw, stopwords) for w in phrase}
-    return max(10, math.ceil(len(words) / 3))
+    return _keyword_count(candidate_phrases(raw, stopwords))
+
+
+def keyword_words(raw: str, stopwords: Iterable[str]) -> set[str]:
+    """Distinct words of a text's default keyword phrases.
+
+    The phrases are those `rake_extract(raw, stopwords,
+    default_keyword_count(raw, stopwords))` returns, found with a single
+    pass over the candidate phrases.
+    """
+    phrases = candidate_phrases(raw, stopwords)
+    kept = _rank_phrases(phrases)[: _keyword_count(phrases)]
+    return {word for phrase, _score in kept for word in phrase.split(" ")}

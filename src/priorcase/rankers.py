@@ -33,14 +33,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, aggregate_chunk_similarity
+from .embeddings import EmbeddingStore
 from .index import CorpusIndex, PipelineMismatchError
-from .rake import default_keyword_count, rake_extract
+from .rake import keyword_words
 from .stopwords import ENGLISH_STOPWORDS
 from .textproc import PipelineConfig, TokenStream, pipeline_fingerprint, tokenize_normalize
 
 Ranking = list[tuple[str, float]]
-SparseVector = dict[str, float]
 
 
 class Variant(Enum):
@@ -84,28 +83,6 @@ class BM25Params:
 
 # ---------------------------------------------------------------------------
 # term-level scoring
-
-def tfidf_weight(tf: int, n_docs: int, df: int) -> float:
-    """TF-IDF weight tf * ln(n_docs / df) of one term."""
-    if n_docs < 1:
-        raise ValueError("n_docs must be >= 1")
-    if df < 1 or df > n_docs:
-        raise ValueError(f"df must be in [1, n_docs]; got df={df}, n_docs={n_docs}")
-    if tf < 0:
-        raise ValueError("tf must be >= 0")
-    return tf * math.log(n_docs / df)
-
-
-def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
-    """Cosine of the angle between two sparse vectors; 0.0 for zero vectors."""
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    dot = sum(w * big.get(term, 0.0) for term, w in small.items())
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
 
 def _bm25_idf(
     variant: Variant, df: int, n_docs: int, epsilon: float, avg_idf: float | None
@@ -192,13 +169,6 @@ def fuse_product(bm25, cosine):
     return bm25 * cosine
 
 
-def chunk_tokens(tokens: TokenStream, max_len: int = 512) -> list[TokenStream]:
-    """Split a token stream into consecutive chunks of at most `max_len`."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    return [tokens[i : i + max_len] for i in range(0, len(tokens), max_len)]
-
-
 def rank_documents(scores: Mapping[str, float], doc_ids: Iterable[str]) -> Ranking:
     """Full ranking: every document, descending score, then ascending id."""
     entries = [(doc_id, scores.get(doc_id, 0.0)) for doc_id in doc_ids]
@@ -218,12 +188,14 @@ def build_rake_vocabulary(
     normalization pipeline as the index so they line up with its terms.
     """
     stopset = frozenset(stopwords)
-    vocab: set[str] = set()
+    words: set[str] = set()
     for _key, raw in texts:
-        top_k = default_keyword_count(raw, stopset)
-        for phrase, _score in rake_extract(raw, stopset, top_k):
-            vocab.update(tokenize_normalize(phrase, config, stopset))
-    return frozenset(vocab)
+        words |= keyword_words(raw, stopset)
+    if not words:
+        return frozenset()
+    # the pipeline maps each token on its own, so one pass over all words
+    # gives the union of normalizing each kept phrase
+    return frozenset(tokenize_normalize(" ".join(words), config, stopset))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +209,9 @@ class Searcher:
     fingerprint must match the one recorded in the index.
 
     Every corpus statistic a scorer reads (BM25 length norms, the Okapi
-    mean IDF, TF-IDF document norms, the RAKE vocabulary and its norms)
-    is computed here, once; scoring only reads them.
+    mean IDF, TF-IDF document norms, the RAKE vocabulary and its norms,
+    the stacked chunk vectors and their norms) is computed here, once;
+    scoring only reads them.
     """
 
     def __init__(
@@ -271,7 +244,7 @@ class Searcher:
         self._okapi_avg_idf = okapi_mean_idf(index)
         n = index.n_docs
         self._idf = np.array([math.log(n / df) for df in index.df.values()])
-        self._sq_norms = self._squared_norms(np.ones(len(index.terms), bool))
+        self._sq_norms = self._squared_norms(np.arange(len(index.terms)))
         self._rake_vocab: frozenset[str] = frozenset()
         self._rake_sq_norms = np.zeros(n)
         if corpus_texts is not None and config is not None:
@@ -279,8 +252,9 @@ class Searcher:
                 sorted(corpus_texts.items()), config, stopset
             )
             self._rake_sq_norms = self._squared_norms(
-                np.array([term in self._rake_vocab for term in index.terms], bool)
+                np.flatnonzero([term in self._rake_vocab for term in index.terms])
             )
+        self._stack_chunks()
 
     # -- postings access -------------------------------------------------------
 
@@ -295,14 +269,48 @@ class Searcher:
                 lo, hi = self._offsets[tid], self._offsets[tid + 1]
                 yield tid, count, idx.positions[lo:hi], idx.tfs[lo:hi]
 
-    def _squared_norms(self, keep: np.ndarray) -> np.ndarray:
-        """Per-document sums of squared TF-IDF weights over the terms in
-        `keep` (a mask over term ids), added up in term order."""
+    def _squared_norms(self, tids: np.ndarray) -> np.ndarray:
+        """Per-document sums of squared TF-IDF weights over the terms
+        `tids` (ascending term ids), added up in term order.
+
+        Reads only those terms' postings slices.
+        """
         idx = self.index
-        in_kept = np.repeat(keep, self._df)
-        idf = np.repeat(self._idf[keep], self._df[keep])
-        w = idx.tfs[in_kept] * idf
-        return np.bincount(idx.positions[in_kept], weights=w * w, minlength=idx.n_docs)
+        df = self._df[tids]
+        # the k-th gathered posting belongs to a term whose slice starts at
+        # offsets[tid] and whose first gathered posting is number first[tid]
+        first = np.cumsum(df) - df
+        at = np.arange(df.sum()) + np.repeat(idx.offsets[tids] - first, df)
+        w = idx.tfs[at] * np.repeat(self._idf[tids], df)
+        return np.bincount(idx.positions[at], weights=w * w, minlength=idx.n_docs)
+
+    def _stack_chunks(self) -> None:
+        """Stack every document's chunk vectors, in position order, for `embed`.
+
+        A document missing from the store or without chunks fails `embed`
+        only, when it scores, so the other scorers still work.
+        """
+        self._chunk_error: str | None = None
+        store = self.embeddings
+        if store is None:
+            return
+        chunks: list[np.ndarray] = []
+        counts: list[int] = []
+        for doc_id in self.index.doc_ids:
+            if doc_id not in store:
+                self._chunk_error = f"embedding store has no vectors for document {doc_id!r}"
+                return
+            doc_chunks = store.chunks(doc_id)
+            if not doc_chunks:
+                # np.bincount would give such a document a mean of 0/0
+                self._chunk_error = "document has no chunk vectors"
+                return
+            chunks.extend(doc_chunks)
+            counts.append(len(doc_chunks))
+        self._chunks = np.array(chunks, dtype=np.float64)
+        self._chunk_norms = np.array([float(np.linalg.norm(v)) for v in chunks])
+        self._chunk_doc = np.repeat(np.arange(len(counts)), counts)
+        self._chunk_counts = np.array(counts)
 
     # -- individual scorers --------------------------------------------------
 
@@ -314,15 +322,8 @@ class Searcher:
             acc[pos] += qcount * _bm25_impact(tfs, self._norm[pos], idf, self.params, variant)
         return acc
 
-    def _tfidf(
-        self,
-        query: TokenStream,
-        vocab: frozenset[str] | None = None,
-        sq_norms: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _tfidf(self, query: TokenStream, sq_norms: np.ndarray | None = None) -> np.ndarray:
         scores = np.zeros(self.index.n_docs)
-        if vocab is not None:
-            query = [term for term in query if term in vocab]
         weighted = []
         for tid, tf, pos, tfs in self._postings(Counter(query).items()):
             idf = float(self._idf[tid])
@@ -345,27 +346,21 @@ class Searcher:
     def _fused(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
         return fuse_product(self._bm25(query, Variant.ATIRE), self._tfidf(query))
 
-    def _rake_tfidf(self, query: TokenStream, _query_id, query_text: str | None) -> np.ndarray:
+    def _rake_tfidf(self, query: TokenStream, query_id, query_text: str | None) -> np.ndarray:
         if query_text is None:
             raise ValueError("rake_tfidf requires the raw query text")
         if self.corpus_texts is None:
             raise ValueError("rake_tfidf requires the raw corpus texts")
         if self.config is None:
             raise ValueError("rake_tfidf requires the normalization pipeline configuration")
-        stopset = self.stopwords
-        query_words: set[str] = set()
-        top_k = default_keyword_count(query_text, stopset)
-        for phrase, _score in rake_extract(query_text, stopset, top_k):
-            query_words.update(tokenize_normalize(phrase, self.config, stopset))
-        base_vocab = self._rake_vocab
+        query_words = build_rake_vocabulary([(query_id, query_text)], self.config, self.stopwords)
+        base = self._rake_vocab
         term_ids = self.index.term_ids
-        extras = [term_ids[t] for t in query_words - base_vocab if t in term_ids]
+        extras = sorted(term_ids[t] for t in query_words if t not in base and t in term_ids)
         sq_norms = self._rake_sq_norms
         if extras:
-            keep = np.zeros(len(self.index.terms), bool)
-            keep[extras] = True
-            sq_norms = sq_norms + self._squared_norms(keep)
-        return self._tfidf(query, vocab=base_vocab | query_words, sq_norms=sq_norms)
+            sq_norms = sq_norms + self._squared_norms(np.array(extras))
+        return self._tfidf([t for t in query if t in base or t in query_words], sq_norms)
 
     def _commonwords(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
         overlap = np.zeros(self.index.n_docs)
@@ -381,12 +376,19 @@ class Searcher:
         if query_id not in self.embeddings:
             raise ValueError(f"embedding store has no vector for query {query_id!r}")
         query_vec = self.embeddings.query_vector(query_id)
-        scores = np.zeros(self.index.n_docs)
-        for pos, doc_id in enumerate(self.index.doc_ids):
-            if doc_id not in self.embeddings:
-                raise ValueError(f"embedding store has no vectors for document {doc_id!r}")
-            scores[pos] = aggregate_chunk_similarity(query_vec, self.embeddings.chunks(doc_id))
-        return scores
+        if self._chunk_error is not None:
+            raise ValueError(self._chunk_error)
+        query_norm = float(np.linalg.norm(query_vec))
+        cos = np.zeros(len(self._chunk_norms))
+        if query_norm != 0.0:
+            # einsum sums each row by itself, so equal chunks get equal bits
+            # wherever they sit; BLAS `@` does not guarantee that
+            dots = np.einsum("ij,j->i", self._chunks, query_vec)
+            np.divide(dots, query_norm * self._chunk_norms, out=cos,
+                      where=self._chunk_norms != 0.0)
+        # bincount adds each document's chunks in order, as `sum` does
+        sums = np.bincount(self._chunk_doc, weights=cos, minlength=self.index.n_docs)
+        return sums / self._chunk_counts
 
     # -- public API ------------------------------------------------------------
 
@@ -483,28 +485,3 @@ _SCORERS: dict[str, _Scorer] = {
     "embed": Searcher._embed,
 }
 SCORER_NAMES = tuple(_SCORERS)
-
-
-def score_query(
-    query: TokenStream,
-    index: CorpusIndex,
-    scorer: str,
-    params: BM25Params = BM25Params(),
-    *,
-    config: PipelineConfig | None = None,
-    stopwords: Iterable[str] = ENGLISH_STOPWORDS,
-    embeddings: EmbeddingStore | None = None,
-    corpus_texts: Mapping[str, str] | None = None,
-    query_id: str | None = None,
-    query_text: str | None = None,
-) -> Ranking:
-    """One-shot convenience wrapper around `Searcher.score`."""
-    searcher = Searcher(
-        index,
-        config=config,
-        stopwords=stopwords,
-        params=params,
-        embeddings=embeddings,
-        corpus_texts=corpus_texts,
-    )
-    return searcher.score(scorer, query, query_id=query_id, query_text=query_text)

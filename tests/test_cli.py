@@ -1,12 +1,15 @@
 """End-to-end command-line behaviour on the bundled synthetic corpus."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from priorcase.cli import load_config_file, main
-from priorcase.evaluation import load_run
-from priorcase.index import load_index
+from priorcase.evaluation import load_run, write_run
+from priorcase.index import load_index, read_queries_file
+from priorcase.rankers import Searcher
+from priorcase.textproc import PRESET_STANDARD
 
 
 @pytest.fixture
@@ -60,6 +63,30 @@ class TestSearchCommand:
         run = load_run(paths["run"])
         for qid, ranking in run.items():
             assert [d for d, _ in ranking] == expected["rankings"][qid]
+
+    def test_queries_without_index_terms_warn_once(self, paths, capsys):
+        build_synthetic_index(paths)
+        queries = paths["tmp"] / "q.tsv"
+        queries.write_text("q1\tcontract breach damages\nqa\tthe of 42\nqb\tzzzz qqqq\n",
+                           encoding="utf-8")
+        argv = ["search", "--index", paths["index"], "--queries", str(queries),
+                "--scorer", "bm25", "--out", paths["run"], "--top", "3"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: 2 of 3 queries have no in-vocabulary terms")
+        assert err.count("\n") == 1
+        # the run file is what the API writes: zero-score rows in id order
+        direct = paths["tmp"] / "direct.run"
+        searcher = Searcher(load_index(paths["index"]), config=PRESET_STANDARD)
+        write_run(searcher.search_all(read_queries_file(queries), "bm25", top_n=3), direct, "bm25")
+        assert Path(paths["run"]).read_bytes() == direct.read_bytes()
+        assert [d for d, _ in load_run(paths["run"])["qa"]] == ["case01", "case02", "case03"]
+
+        matched = paths["tmp"] / "m.tsv"
+        matched.write_text("q1\tcontract breach damages\n", encoding="utf-8")
+        assert main(argv[:4] + [str(matched)] + argv[5:]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_tag_defaults_to_scorer_name(self, paths):
         build_synthetic_index(paths)
@@ -213,6 +240,12 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 1\n# note\nbeta = two words # trailing\n", encoding="utf-8")
         assert load_config_file(cfg) == {"alpha": "1", "beta": "two words"}
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("corpus = /data/case#1\n  # indented note\n"
+                       "tag = run#2\t# tab comment\nout=x.run #trailing\n", encoding="utf-8")
+        assert load_config_file(cfg) == {"corpus": "/data/case#1", "tag": "run#2", "out": "x.run"}
 
     def test_pipeline_booleans_in_config(self, paths):
         # standard preset with stemming switched on == the full preset

@@ -5,8 +5,10 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from priorcase.embeddings import EmbeddingStore, aggregate_chunk_similarity
 from priorcase.index import PipelineMismatchError, build_index, load_index, persist_index
 from priorcase.rankers import (
     SCORER_NAMES,
@@ -14,61 +16,74 @@ from priorcase.rankers import (
     Searcher,
     Variant,
     bm25_term_score,
-    chunk_tokens,
-    cosine_similarity,
+    build_rake_vocabulary,
     fuse_product,
     okapi_mean_idf,
     rank_documents,
-    score_query,
-    tfidf_weight,
 )
 from priorcase.stopwords import ENGLISH_STOPWORDS
 from priorcase.textproc import (
     PRESET_FULL,
+    PRESET_NONE,
     PRESET_STANDARD,
     pipeline_fingerprint,
     tokenize_normalize,
 )
 
-from conftest import make_random_corpus, make_random_query, make_random_store, random_config
-from oracles import naive_bm25, naive_rank
+from conftest import (
+    CONTENT_WORDS,
+    STOP_SAMPLE,
+    make_random_corpus,
+    make_random_query,
+    make_random_store,
+    random_config,
+)
+from oracles import naive_bm25, naive_rake_vocab, naive_rank
+
+
+def tfidf_scores(docs, query):
+    """tfidf_cos scores by document id for a corpus of token lists."""
+    ranking = Searcher(build_index(list(docs.items()), "fp")).score("tfidf_cos", query)
+    return dict(ranking)
 
 
 class TestTfidfWeight:
+    """The weight tf * ln(N / df), as tfidf_cos sees it."""
+
     def test_hand_value(self):
-        assert tfidf_weight(2, 2, 1) == pytest.approx(2 * math.log(2), abs=1e-12)
+        # N = 2, every idf is ln 2: d1 = (2 ln 2, ln 2) over (a, c)
+        scores = tfidf_scores({"d1": ["a", "a", "c"], "d2": ["b"]}, ["a"])
+        assert scores["d1"] == pytest.approx(2 / math.sqrt(5), abs=1e-12)
 
     def test_df_equals_n_gives_zero(self):
-        for tf in (0, 1, 7):
-            assert tfidf_weight(tf, 5, 5) == 0.0
+        docs = {"d1": ["a", "b"], "d2": ["a", "c"]}
+        assert tfidf_scores(docs, ["a"]) == {"d1": 0.0, "d2": 0.0}
+        # a weighs 0 in the query too, so it changes no score
+        assert tfidf_scores(docs, ["a", "b"]) == tfidf_scores(docs, ["b"])
 
     def test_zero_tf(self):
-        assert tfidf_weight(0, 10, 3) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            tfidf_weight(1, 5, 0)
-        with pytest.raises(ValueError):
-            tfidf_weight(1, 5, 6)
-        with pytest.raises(ValueError):
-            tfidf_weight(-1, 5, 1)
+        scores = tfidf_scores({"d1": ["a", "a", "b"], "d2": ["b", "c"]}, ["a"])
+        assert scores["d2"] == 0.0 and scores["d1"] > 0.0
 
 
 class TestCosine:
+    """tfidf_cos is the cosine of the query and document weight vectors."""
+
     def test_identical_vectors(self):
-        v = {"x": 0.3, "y": 1.7}
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        docs = {"d1": ["x", "y", "y"], "d2": ["z"]}
+        assert tfidf_scores(docs, ["x", "y", "y"])["d1"] == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        assert cosine_similarity({"x": 1.0}, {"y": 1.0}) == 0.0
+        assert tfidf_scores({"d1": ["x"], "d2": ["y"]}, ["y"])["d1"] == 0.0
 
     def test_hand_value(self):
-        got = cosine_similarity({"x": 1.0, "y": 1.0}, {"x": 1.0})
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        scores = tfidf_scores({"d1": ["x", "y"], "d2": ["z"]}, ["x"])
+        assert scores["d1"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_zero_vector(self):
-        assert cosine_similarity({}, {"x": 1.0}) == 0.0
-        assert cosine_similarity({}, {}) == 0.0
+        docs = {"d1": ["x"], "d2": ["y"]}
+        assert tfidf_scores(docs, ["unknown"]) == {"d1": 0.0, "d2": 0.0}
+        assert tfidf_scores(docs, []) == {"d1": 0.0, "d2": 0.0}
 
 
 class TestBM25TermScore:
@@ -147,25 +162,6 @@ class TestFuseAndChunks:
         with pytest.raises(ValueError):
             fuse_product(float("inf"), 0.5)
 
-    def test_chunk_lengths(self):
-        chunks = chunk_tokens(["t"] * 1030)
-        assert [len(c) for c in chunks] == [512, 512, 6]
-
-    def test_chunk_small_input(self):
-        assert chunk_tokens(list("abcdefghij")) == [list("abcdefghij")]
-
-    def test_chunk_empty(self):
-        assert chunk_tokens([]) == []
-
-    def test_chunks_concatenate_to_input(self):
-        tokens = [f"t{i}" for i in range(777)]
-        chunks = chunk_tokens(tokens, max_len=100)
-        assert [t for c in chunks for t in c] == tokens
-
-    def test_chunk_bad_max_len(self):
-        with pytest.raises(ValueError):
-            chunk_tokens(["a"], max_len=0)
-
 
 @pytest.fixture
 def small_index():
@@ -174,65 +170,64 @@ def small_index():
 
 class TestScoreQuery:
     def test_absent_term_yields_zero_scores_in_id_order(self, small_index):
-        ranking = score_query(["zzz"], small_index, "bm25")
+        ranking = Searcher(small_index).score("bm25", ["zzz"])
         assert ranking == [("d1", 0.0), ("d2", 0.0)]
 
     def test_single_document_corpus(self):
         idx = build_index([("only", ["law", "court"])], "fp")
         for scorer in ("tfidf_cos", "bm25", "bm25_okapi", "bm25l", "bm25plus",
                        "fused", "commonwords_bm25"):
-            ranking = score_query(["law"], idx, scorer)
+            ranking = Searcher(idx).score(scorer, ["law"])
             assert ranking[0][0] == "only"
 
     def test_bm25_matches_brute_force(self, small_index):
         docs = {"d1": ["a", "a", "b"], "d2": ["b", "c"]}
         expected = naive_rank(naive_bm25(docs, ["a"]), ["d1", "d2"])
-        got = score_query(["a"], small_index, "bm25")
+        got = Searcher(small_index).score("bm25", ["a"])
         assert [d for d, _ in got] == [d for d, _ in expected]
         for (_, a), (_, b) in zip(got, expected):
             assert a == pytest.approx(b, abs=1e-9)
         assert got[1] == ("d2", 0.0)
 
     def test_duplicate_query_terms_double_the_score(self, small_index):
-        once = dict(score_query(["a"], small_index, "bm25"))
-        twice = dict(score_query(["a", "a"], small_index, "bm25"))
+        once = dict(Searcher(small_index).score("bm25", ["a"]))
+        twice = dict(Searcher(small_index).score("bm25", ["a", "a"]))
         assert twice["d1"] == pytest.approx(2 * once["d1"])
 
     def test_tfidf_scores_within_unit_interval(self, small_index):
         for query in (["a"], ["a", "b"], ["b", "c", "c"], ["zzz"]):
-            for _doc, score in score_query(query, small_index, "tfidf_cos"):
+            for _doc, score in Searcher(small_index).score("tfidf_cos", query):
                 assert 0.0 <= score <= 1.0 + 1e-12
 
     def test_fused_is_product(self, small_index):
-        bm25 = dict(score_query(["a", "b"], small_index, "bm25"))
-        cos = dict(score_query(["a", "b"], small_index, "tfidf_cos"))
-        fused = dict(score_query(["a", "b"], small_index, "fused"))
+        bm25 = dict(Searcher(small_index).score("bm25", ["a", "b"]))
+        cos = dict(Searcher(small_index).score("tfidf_cos", ["a", "b"]))
+        fused = dict(Searcher(small_index).score("fused", ["a", "b"]))
         for doc in ("d1", "d2"):
             assert fused[doc] == pytest.approx(bm25[doc] * cos[doc])
 
     def test_commonwords_multiplier(self, small_index):
-        bm25 = dict(score_query(["a", "b"], small_index, "bm25"))
-        common = dict(score_query(["a", "b"], small_index, "commonwords_bm25"))
+        bm25 = dict(Searcher(small_index).score("bm25", ["a", "b"]))
+        common = dict(Searcher(small_index).score("commonwords_bm25", ["a", "b"]))
         assert common["d1"] == pytest.approx(2 * bm25["d1"])  # shares a and b
         assert common["d2"] == pytest.approx(1 * bm25["d2"])  # shares b only
 
     def test_unknown_scorer(self, small_index):
         with pytest.raises(ValueError, match="unknown scorer"):
-            score_query(["a"], small_index, "pagerank")
+            Searcher(small_index).score("pagerank", ["a"])
 
     def test_embed_needs_store(self, small_index):
         with pytest.raises(ValueError, match="embedding store"):
-            score_query(["a"], small_index, "embed", query_id="q1")
+            Searcher(small_index).score("embed", ["a"], query_id="q1")
 
     def test_embed_needs_query_id(self, small_index):
         store = make_random_store(random.Random(0), ["d1", "d2"], ["q1"])
         with pytest.raises(ValueError, match="query id"):
-            score_query(["a"], small_index, "embed", embeddings=store)
+            Searcher(small_index, embeddings=store).score("embed", ["a"])
 
     def test_rake_needs_corpus_texts(self, small_index):
         with pytest.raises(ValueError, match="corpus texts"):
-            score_query(["a"], small_index, "rake_tfidf",
-                        config=None, query_text="a b")
+            Searcher(small_index, config=None).score("rake_tfidf", ["a"], query_text="a b")
 
     def test_pipeline_mismatch_rejected(self):
         fp = pipeline_fingerprint(PRESET_STANDARD)
@@ -249,7 +244,7 @@ class TestRankingInvariants:
         assert ranking == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
 
     def test_every_document_appears_once(self, small_index):
-        ranking = score_query(["a"], small_index, "bm25")
+        ranking = Searcher(small_index).score("bm25", ["a"])
         assert sorted(d for d, _ in ranking) == ["d1", "d2"]
 
     def test_fused_scaling_leaves_order_unchanged(self):
@@ -275,7 +270,7 @@ class TestRankingInvariants:
                     tokens += ["needle"] * rng.randint(1, 3)
                 docs[f"d{i:02d}"] = tokens
             idx = build_index(sorted(docs.items()), "fp")
-            scores = dict(score_query(["needle"], idx, "bm25"))
+            scores = dict(Searcher(idx).score("bm25", ["needle"]))
             have = {f"d{i:02d}" for i in with_term}
             worst_with = min(scores[d] for d in have)
             best_without = max(scores[d] for d in scores if d not in have)
@@ -293,8 +288,8 @@ class TestDeterminism:
         assert parallel == sequential
 
     def test_repeat_scoring_is_identical(self, small_index):
-        first = score_query(["a", "b"], small_index, "tfidf_cos")
-        second = score_query(["a", "b"], small_index, "tfidf_cos")
+        first = Searcher(small_index).score("tfidf_cos", ["a", "b"])
+        second = Searcher(small_index).score("tfidf_cos", ["a", "b"])
         assert first == second
 
 
@@ -309,11 +304,12 @@ def test_okapi_mean_idf_matches_direct_sum(small_index):
 # ---------------------------------------------------------------------------
 # exact reference: the per-posting loops the array core replaced
 
-def reference_ranking(index, scorer, query, params=BM25Params()):
+def reference_ranking(index, scorer, query, params=BM25Params(), rake=None):
     """Score one query posting by posting, then fully sort.
 
     This is the dict-of-postings implementation the dense accumulator
-    replaced; `Searcher.score` must equal it bit for bit.
+    replaced; `Searcher.score` must equal it bit for bit.  `rake_tfidf`
+    needs `rake = (raw corpus texts by id, raw query text, config)`.
     """
     n = index.n_docs
     avg_idf = okapi_mean_idf(index)
@@ -327,15 +323,21 @@ def reference_ranking(index, scorer, query, params=BM25Params()):
                 scores[doc_id] = scores.get(doc_id, 0.0) + qcount * contrib
         return scores
 
-    def tfidf():
-        def idf(term):
-            return math.log(n / index.df[term])
+    def idf(term):
+        return math.log(n / index.df[term])
 
+    def squared_norms(terms):
         sq = {}
         for term, plist in index.postings.items():
-            for doc_id, tf in plist:
-                w = tf * idf(term)
-                sq[doc_id] = sq.get(doc_id, 0.0) + w * w
+            if term in terms:
+                for doc_id, tf in plist:
+                    w = tf * idf(term)
+                    sq[doc_id] = sq.get(doc_id, 0.0) + w * w
+        return sq
+
+    def tfidf(query=query, sq=None):
+        if sq is None:
+            sq = squared_norms(index.df)
         qvec = {}
         for term, tf in Counter(query).items():
             if term in index.df and tf * idf(term) != 0.0:
@@ -363,12 +365,23 @@ def reference_ranking(index, scorer, query, params=BM25Params()):
         overlap = Counter(d for term in set(query) for d, _tf in index.postings.get(term, ()))
         b = bm25(Variant.ATIRE)
         scores = {d: count * b.get(d, 0.0) for d, count in overlap.items()}
+    elif scorer == "rake_tfidf":
+        # the corpus vocabulary's norms, plus the extra query terms' norms
+        raw, query_text, config = rake
+        base = naive_rake_vocab([raw[d] for d in sorted(raw)], config, ENGLISH_STOPWORDS)
+        query_words = naive_rake_vocab([query_text], config, ENGLISH_STOPWORDS)
+        sq = squared_norms(base)
+        extra = squared_norms(query_words - base)
+        if extra:
+            sq = {d: sq.get(d, 0.0) + extra.get(d, 0.0) for d in sq.keys() | extra.keys()}
+        scores = tfidf([t for t in query if t in base or t in query_words], sq)
     else:
         raise AssertionError(scorer)
     return rank_documents(scores, index.doc_ids)
 
 
-LEXICAL = ("bm25", "bm25_okapi", "bm25l", "bm25plus", "tfidf_cos", "fused", "commonwords_bm25")
+LEXICAL = ("bm25", "bm25_okapi", "bm25l", "bm25plus", "tfidf_cos", "fused", "commonwords_bm25",
+           "rake_tfidf")
 
 
 def _random_setup(rng):
@@ -394,14 +407,15 @@ class TestExactReference:
             config, raw, index = setup
             params = rng.choice([BM25Params(), BM25Params(k1=0.9, b=0.4, delta=0.7),
                                  BM25Params(k1=2.0, b=1.0, epsilon=0.5)])
-            searcher = Searcher(index, config=config, params=params)
+            searcher = Searcher(index, config=config, params=params, corpus_texts=raw)
             for _q in range(3):
-                query = tokenize_normalize(make_random_query(rng, raw), config)
+                text = make_random_query(rng, raw)
+                query = tokenize_normalize(text, config)
                 for scorer in LEXICAL:
-                    assert searcher.score(scorer, query) == reference_ranking(
-                        index, scorer, query, params), scorer
+                    assert searcher.score(scorer, query, query_text=text) == reference_ranking(
+                        index, scorer, query, params, (raw, text, config)), scorer
                     checked += 1
-        assert checked > 1500
+        assert checked > 1700
 
     def test_search_all_equals_reference_prefix(self):
         rng = random.Random(77)
@@ -410,13 +424,14 @@ class TestExactReference:
             if setup is None:
                 continue
             config, raw, index = setup
-            searcher = Searcher(index, config=config)
+            searcher = Searcher(index, config=config, corpus_texts=raw)
             queries = [(f"q{i}", make_random_query(rng, raw)) for i in range(3)]
             top_n = rng.randint(1, index.n_docs + 2)
             for scorer in LEXICAL:
                 run = searcher.search_all(queries, scorer, top_n=top_n)
                 for qid, text in queries:
-                    full = reference_ranking(index, scorer, tokenize_normalize(text, config))
+                    full = reference_ranking(index, scorer, tokenize_normalize(text, config),
+                                             rake=(raw, text, config))
                     assert run[qid] == full[:top_n], (scorer, top_n)
 
     def test_ties_at_cut_off_keep_lowest_ids(self):
@@ -459,7 +474,7 @@ class TestOkapiNegativeFloor:
         # df = N for both terms: every raw IDF, and so the mean, is negative
         idx = build_index([("d1", ["a", "b"]), ("d2", ["a", "b"]), ("d3", ["a", "b"])], "fp")
         assert okapi_mean_idf(idx) == pytest.approx(math.log(0.5 / 3.5))
-        ranking = score_query(["a", "b"], idx, "bm25_okapi")
+        ranking = Searcher(idx).score("bm25_okapi", ["a", "b"])
         # each term: floor 0.25 * ln(1/7) times a tf factor of exactly 1
         assert [s for _d, s in ranking] == pytest.approx([0.5 * math.log(1 / 7)] * 3)
         assert all(s < 0.0 for _d, s in ranking)
@@ -469,6 +484,114 @@ class TestOkapiNegativeFloor:
             [("d1", ["a", "b"]), ("d2", ["a", "b"]), ("d3", ["a", "b"]), ("d4", ["c"])], "fp"
         )
         assert okapi_mean_idf(idx) < 0.0
-        ranking = score_query(["a", "b"], idx, "bm25_okapi")
+        ranking = Searcher(idx).score("bm25_okapi", ["a", "b"])
         assert ranking[0] == ("d4", 0.0)
         assert all(s < 0.0 for _d, s in ranking[1:])
+
+
+# ---------------------------------------------------------------------------
+# embed as one product over the stacked chunks, against the per-document loop
+
+def reference_embed(index, store, query_id):
+    """The per-document `aggregate_chunk_similarity` loop the product replaced."""
+    qv = store.query_vector(query_id)
+    scores = {d: aggregate_chunk_similarity(qv, store.chunks(d)) for d in index.doc_ids}
+    return rank_documents(scores, index.doc_ids)
+
+
+def _chunk_index(n_docs):
+    return build_index([(f"d{i:02d}", ["t"]) for i in range(n_docs)][::-1], "fp")
+
+
+class TestEmbedMatrix:
+    def test_matches_per_document_loop(self):
+        rng = random.Random(606)
+        for trial in range(60):
+            index = _chunk_index(rng.randint(1, 30))
+            dim = rng.choice([1, 3, 8, 13, 64])
+            store = make_random_store(rng, index.doc_ids, ["q0", "q1"], dim=dim)
+            searcher = Searcher(index, embeddings=store)
+            tol = dim * np.finfo(float).eps  # fixed before comparing: dot order differs
+            for qid in ("q0", "q1"):
+                got = searcher.score("embed", [], query_id=qid)
+                want = reference_embed(index, store, qid)
+                assert [d for d, _ in got] == [d for d, _ in want], trial
+                for (_, a), (_, b) in zip(got, want):
+                    assert abs(a - b) <= tol
+
+    def test_identical_chunk_lists_tie_exactly(self):
+        # the first, a middle and the last document share one chunk list, so
+        # their rows sit at the start, middle and end of the stacked matrix
+        rng = np.random.default_rng(8)
+        for dim in (5, 8, 64, 100):
+            for n_docs in range(3, 41):
+                same = [rng.normal(size=dim) for _ in range(3)]
+                twins = {"d00", f"d{n_docs // 2:02d}", f"d{n_docs - 1:02d}"}
+                vectors = {
+                    f"d{i:02d}": [c.copy() for c in same] if f"d{i:02d}" in twins
+                    else [rng.normal(size=dim) for _ in range(1 + i % 4)]
+                    for i in range(n_docs)
+                }
+                vectors["q"] = [rng.normal(size=dim)]
+                ranking = Searcher(_chunk_index(n_docs), embeddings=EmbeddingStore(vectors)).score(
+                    "embed", [], query_id="q")
+                tied = [(rank, d, s) for rank, (d, s) in enumerate(ranking) if d in twins]
+                assert len({s for _r, _d, s in tied}) == 1, (dim, n_docs)
+                assert [d for _r, d, _s in tied] == sorted(twins)
+                assert [r for r, _d, _s in tied] == list(range(tied[0][0], tied[0][0] + 3))
+
+    def test_zero_norm_chunk_or_query_scores_zero(self):
+        index = _chunk_index(3)
+        q = np.array([1.0, 0.0, 0.0])
+        vectors = {
+            "d00": [np.zeros(3)],
+            "d01": [np.zeros(3), np.array([2.0, 0.0, 0.0])],
+            "d02": [np.array([0.0, 3.0, 0.0])],
+            "q": [q],
+            "zero": [np.zeros(3)],
+        }
+        searcher = Searcher(index, embeddings=EmbeddingStore(vectors))
+        scores = dict(searcher.score("embed", [], query_id="q"))
+        assert scores == {"d00": 0.0, "d01": 0.5, "d02": 0.0}
+        ranking = searcher.score("embed", [], query_id="zero")
+        assert ranking == [("d00", 0.0), ("d01", 0.0), ("d02", 0.0)]
+
+    def test_store_errors_keep_their_messages(self):
+        index = _chunk_index(3)
+        v = np.ones(2)
+        missing = EmbeddingStore({"d00": [v], "d02": [v], "q": [v]})
+        searcher = Searcher(index, embeddings=missing)  # lexical scorers still work
+        assert searcher.score("bm25", ["t"])[0] == ("d00", 0.0)
+        with pytest.raises(ValueError, match="no vectors for document 'd01'"):
+            searcher.score("embed", [], query_id="q")
+        with pytest.raises(ValueError, match="no vector for query 'nope'"):
+            searcher.score("embed", [], query_id="nope")
+
+        empty = EmbeddingStore({"d00": [v], "d01": [], "d02": [v], "q": [v]})
+        with pytest.raises(ValueError, match="document has no chunk vectors"):
+            Searcher(index, embeddings=empty).score("embed", [], query_id="q")
+        # the first failing document by position decides the message
+        both = EmbeddingStore({"d00": [], "d02": [v], "q": [v]})
+        with pytest.raises(ValueError, match="document has no chunk vectors"):
+            Searcher(index, embeddings=both).score("embed", [], query_id="q")
+
+
+class TestRakeVocabulary:
+    @pytest.mark.parametrize("config", [PRESET_NONE, PRESET_STANDARD, PRESET_FULL],
+                             ids=["none", "standard", "full"])
+    def test_equals_per_phrase_oracle(self, config, synthetic_dir):
+        rng = random.Random(31)
+        corpora = [make_random_corpus(rng, max_len=rng.choice([5, 50, 200])) for _ in range(30)]
+        # texts with over 30 distinct words keep more than the floor of 10 phrases
+        suffixes = ["", "s", "ing", "ed", "al", "ly"]
+        for _ in range(10):
+            words = [w + rng.choice(suffixes) for w in CONTENT_WORDS for _ in range(3)]
+            corpora.append({f"d{i}": " ".join(rng.choices(words + STOP_SAMPLE * 20, k=300))
+                            + rng.choice([".", ", 1999"]) for i in range(3)})
+        corpora.append({p.stem: p.read_text(encoding="utf-8")
+                        for p in (synthetic_dir / "corpus").iterdir()})
+        for raw in corpora:
+            items = sorted(raw.items())
+            got = build_rake_vocabulary(items, config, ENGLISH_STOPWORDS)
+            want = naive_rake_vocab([t for _d, t in items], config, ENGLISH_STOPWORDS)
+            assert got == want
