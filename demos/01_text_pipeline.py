@@ -13,6 +13,7 @@ from priorcase import (
     PipelineConfig,
     pipeline_fingerprint,
     porter_stem,
+    tokenize_corpus,
     tokenize_normalize,
 )
 
@@ -21,6 +22,11 @@ sentence = "The Judges were ruling on 42 breached contracts in 1999!"
 print("input:", sentence)
 for name, preset in (("none", PRESET_NONE), ("standard", PRESET_STANDARD), ("full", PRESET_FULL)):
     print(f"{name:>9}: {tokenize_normalize(sentence, preset)}")
+
+# The batch call runs the same pipeline over many texts, stemming each
+# distinct word once per call; the tokens are the same.
+print("batch == per text:", tokenize_corpus([sentence, sentence], PRESET_FULL)
+      == [tokenize_normalize(sentence, PRESET_FULL)] * 2)
 
 # The difference between standard and full is the stemmer, which folds
 # inflected forms together:

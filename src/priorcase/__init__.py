@@ -52,6 +52,7 @@ from .textproc import (
     PRESETS,
     PipelineConfig,
     pipeline_fingerprint,
+    tokenize_corpus,
     tokenize_normalize,
 )
 

@@ -32,7 +32,7 @@ from .index import (
 )
 from .rankers import BM25Params, SCORER_NAMES, Searcher
 from .stopwords import ENGLISH_STOPWORDS, load_stopword_file
-from .textproc import PRESETS, PipelineConfig, pipeline_fingerprint, tokenize_normalize
+from .textproc import PRESETS, PipelineConfig, pipeline_fingerprint, tokenize_corpus, tokenize_normalize
 
 DEFAULT_TOP_N = 100
 DEFAULT_COMPARE_SCORERS = "fused,tfidf_cos,bm25,commonwords_bm25"
@@ -165,8 +165,8 @@ def cmd_index(settings: dict) -> int:
     corpus_dir = _existing_path(_require(settings, "corpus", "--corpus"), "corpus directory")
     out = _require(settings, "out", "--out")
     config, stopwords = _build_pipeline(settings)
-    docs = read_corpus_dir(corpus_dir)
-    tokenized = [(doc_id, tokenize_normalize(text, config, stopwords)) for doc_id, text in docs]
+    doc_ids, texts = zip(*read_corpus_dir(corpus_dir))
+    tokenized = zip(doc_ids, tokenize_corpus(texts, config, stopwords))
     index = build_index(tokenized, pipeline_fingerprint(config, stopwords))
     persist_index(index, out)
     print(f"indexed {index.n_docs} documents, {len(index.postings)} terms -> {out}")

@@ -381,20 +381,23 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     """Read a directory of UTF-8 text files as (doc_id, raw text) pairs.
 
     The document id is the filename without its extension.  Hidden files
-    are skipped.  Results are sorted by id.
+    are skipped.  Results are sorted by id.  Two files with the same id
+    (`a.txt`, `a.md`) raise `DuplicateDocIdError` before any file is read.
     """
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    docs = []
-    for entry in sorted(root.iterdir()):
-        if not entry.is_file() or entry.name.startswith("."):
-            continue
-        docs.append((entry.stem, entry.read_text(encoding="utf-8")))
-    if not docs:
+    entries = sorted(
+        (entry for entry in root.iterdir()
+         if entry.is_file() and not entry.name.startswith(".")),
+        key=lambda entry: entry.stem,
+    )
+    if not entries:
         raise ValueError(f"corpus directory contains no documents: {root}")
-    docs.sort(key=lambda pair: pair[0])
-    return docs
+    for prev, entry in zip(entries, entries[1:]):
+        if prev.stem == entry.stem:
+            raise DuplicateDocIdError(entry.stem)
+    return [(entry.stem, entry.read_text(encoding="utf-8")) for entry in entries]
 
 
 def read_queries_file(path: str | Path) -> list[tuple[str, str]]:

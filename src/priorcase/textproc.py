@@ -65,28 +65,50 @@ def split_tokens(raw: str) -> TokenStream:
     return _TOKEN_RE.findall(raw)
 
 
+def tokenize_corpus(
+    texts: Iterable[str],
+    config: PipelineConfig = PRESET_STANDARD,
+    stopwords: Iterable[str] = ENGLISH_STOPWORDS,
+) -> list[TokenStream]:
+    """Run the full pipeline over every text; one token stream per text.
+
+    Porter stemming is a pure function of the word, so each distinct
+    token is stemmed once per call through a memo that lives only for
+    that call: its memory is bounded by the vocabulary of `texts`, and
+    nothing is cached between calls.
+    """
+    stopset = frozenset()
+    if config.remove_stopwords:
+        stopset = stopwords if isinstance(stopwords, (set, frozenset)) else frozenset(stopwords)
+        if not stopset:
+            raise ValueError("stopword removal enabled but the stopword list is empty")
+    stems: dict[str, str] = {}
+    streams = []
+    for raw in texts:
+        tokens = split_tokens(raw)
+        if config.lowercase:
+            tokens = [t.lower() for t in tokens]
+        if config.remove_noise:
+            tokens = [
+                t for t in tokens
+                if len(t) >= config.min_token_len and not t.isdigit()
+            ]
+        if config.remove_stopwords:
+            tokens = [t for t in tokens if t not in stopset]
+        if config.stem:
+            stems.update((t, porter_stem(t)) for t in set(tokens).difference(stems))
+            tokens = [stems[t] for t in tokens]
+        streams.append(tokens)
+    return streams
+
+
 def tokenize_normalize(
     raw: str,
     config: PipelineConfig = PRESET_STANDARD,
     stopwords: Iterable[str] = ENGLISH_STOPWORDS,
 ) -> TokenStream:
     """Run the full pipeline over raw text and return unigram tokens."""
-    tokens = split_tokens(raw)
-    if config.lowercase:
-        tokens = [t.lower() for t in tokens]
-    if config.remove_noise:
-        tokens = [
-            t for t in tokens
-            if len(t) >= config.min_token_len and not t.isdigit()
-        ]
-    if config.remove_stopwords:
-        stopset = stopwords if isinstance(stopwords, (set, frozenset)) else frozenset(stopwords)
-        if not stopset:
-            raise ValueError("stopword removal enabled but the stopword list is empty")
-        tokens = [t for t in tokens if t not in stopset]
-    if config.stem:
-        tokens = [porter_stem(t) for t in tokens]
-    return tokens
+    return tokenize_corpus([raw], config, stopwords)[0]
 
 
 def pipeline_fingerprint(

@@ -7,9 +7,15 @@ import pytest
 
 from priorcase.cli import load_config_file, main
 from priorcase.evaluation import load_run, write_run
-from priorcase.index import load_index, read_queries_file
+from priorcase.index import (
+    build_index,
+    load_index,
+    persist_index,
+    read_corpus_dir,
+    read_queries_file,
+)
 from priorcase.rankers import Searcher
-from priorcase.textproc import PRESET_STANDARD
+from priorcase.textproc import PRESET_FULL, PRESET_STANDARD, pipeline_fingerprint, tokenize_normalize
 
 
 @pytest.fixture
@@ -43,6 +49,29 @@ class TestIndexCommand:
         err = capsys.readouterr().err
         assert code != 0
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_duplicate_doc_id_is_a_one_line_error(self, paths, capsys):
+        corpus = paths["tmp"] / "dup"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("contract breach", encoding="utf-8")
+        (corpus / "a.md").write_text("lease tenant", encoding="utf-8")
+        code = main(["index", "--corpus", str(corpus), "--out", paths["index"]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: duplicate document id: 'a'\n"
+        assert not Path(paths["index"]).exists()
+
+    def test_full_preset_bytes_match_the_per_text_pipeline(self, paths):
+        code = main(["index", "--preset", "full", "--corpus", paths["corpus"], "--out", paths["index"]])
+        assert code == 0
+        reference = paths["tmp"] / "reference.idx"
+        docs = read_corpus_dir(paths["corpus"])
+        persist_index(
+            build_index([(d, tokenize_normalize(t, PRESET_FULL)) for d, t in docs],
+                        pipeline_fingerprint(PRESET_FULL)),
+            reference,
+        )
+        assert Path(paths["index"]).read_bytes() == reference.read_bytes()
 
     def test_preset_changes_fingerprint(self, paths):
         build_synthetic_index(paths)

@@ -381,6 +381,14 @@ class TestIngestion:
         with pytest.raises(FileNotFoundError):
             read_corpus_dir(tmp_path / "absent")
 
+    def test_read_corpus_dir_rejects_duplicate_ids_before_reading(self, tmp_path):
+        # no file is valid UTF-8: reading any of them would raise
+        # UnicodeDecodeError instead
+        for name in ("a.txt", "a.md", "b.txt"):
+            (tmp_path / name).write_bytes(b"\xff\xfe")
+        with pytest.raises(DuplicateDocIdError, match="'a'"):
+            read_corpus_dir(tmp_path)
+
     def test_read_queries_file(self, synthetic_dir):
         queries = read_queries_file(synthetic_dir / "queries.tsv")
         assert queries[0] == ("q1", "contract breach damages")

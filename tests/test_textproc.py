@@ -1,8 +1,11 @@
 """Normalization pipeline behaviour and invariants."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+import priorcase.textproc as textproc
 from priorcase.stopwords import ENGLISH_STOPWORDS, load_stopword_file
 from priorcase.textproc import (
     PRESET_FULL,
@@ -11,8 +14,18 @@ from priorcase.textproc import (
     PipelineConfig,
     pipeline_fingerprint,
     split_tokens,
+    tokenize_corpus,
     tokenize_normalize,
 )
+
+# a small pool, so words repeat within and across texts; it holds digits,
+# '_', non-ASCII letters, stopwords, case variants and stemmable forms
+WORD_POOL = [
+    "Judges", "judges", "ruling", "RULING", "contracts", "caresses", "ponies",
+    "the", "of", "The", "a", "x", "42", "1999", "s42", "snake_case", "_",
+    "über", "Straße", "naïve", "ΔΙΚΗ", "δίκη", "café", "relational",
+]
+SEPARATORS = [" ", "  ", ", ", ".\n", "-", "!"]
 
 
 class TestPipelineStages:
@@ -94,6 +107,45 @@ class TestProperties:
         stemmed = tokenize_normalize(word, PipelineConfig(remove_noise=False, remove_stopwords=False, stem=True))
         flat = tokenize_normalize(word, PipelineConfig(remove_noise=False, remove_stopwords=False, stem=False))
         assert sum(map(len, stemmed)) <= sum(map(len, flat))
+
+
+class TestCorpusBatch:
+    @given(
+        texts=st.lists(
+            st.lists(st.tuples(st.sampled_from(WORD_POOL) | st.text(max_size=8),
+                               st.sampled_from(SEPARATORS)), max_size=30)
+            .map(lambda pairs: "".join(word + sep for word, sep in pairs)),
+            max_size=6,
+        ),
+        # every combination of stages, so the none/standard/full presets too
+        config=st.builds(PipelineConfig, st.booleans(), st.booleans(), st.booleans(),
+                         st.booleans(), st.sampled_from([0, 3])),
+        stopwords=st.frozensets(st.sampled_from([w.lower() for w in WORD_POOL]), min_size=1),
+    )
+    def test_batch_equals_one_text_at_a_time(self, texts, config, stopwords):
+        assert tokenize_corpus(texts, config, stopwords) == [
+            tokenize_normalize(t, config, stopwords) for t in texts
+        ]
+
+    def test_each_distinct_token_is_stemmed_once_per_call(self, monkeypatch):
+        texts = ["judges ruling judges on contracts", "ruling contracts", "", "judges ponies"]
+        distinct = {t for tokens in tokenize_corpus(texts, PRESET_STANDARD) for t in tokens}
+        calls = Counter()
+        stem = textproc.porter_stem
+
+        def counting_stem(word):
+            calls[word] += 1
+            return stem(word)
+
+        monkeypatch.setattr(textproc, "porter_stem", counting_stem)
+        first = tokenize_corpus(texts, PRESET_FULL)
+        assert calls == Counter(distinct)
+        # no memo survives the call: a second call stems everything again
+        assert tokenize_corpus(texts, PRESET_FULL) == first
+        assert calls == Counter({word: 2 for word in distinct})
+        calls.clear()
+        tokenize_corpus(texts, PRESET_STANDARD)
+        assert not calls
 
 
 class TestStopwords:
