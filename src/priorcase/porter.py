@@ -6,8 +6,22 @@ or two are left alone; step 2 uses "bli" -> "ble" rather than
 "abli" -> "able"; step 2 gains "logi" -> "log"), so output matches the
 reference vocabulary published alongside that implementation.
 
-Input is expected to be a lowercase alphabetic word; behaviour on other
-strings is undefined but safe.
+Every condition of the algorithm is stated over the form [C](VC)^m[V],
+so the stemmer computes the word's consonant/vowel pattern once: a
+string with one "c" or "v" per letter.  A letter's class depends only on
+the letters before it ("y" is a vowel only after a consonant), so the
+pattern of a prefix is a prefix of the pattern, and each condition on a
+candidate stem is a slice of it:
+
+- m, the measure, is the number of "vc";
+- *v* (the stem holds a vowel) is a "v";
+- *d (double consonant) is two equal last letters, the last a "c";
+- *o is an ending "cvc" whose last letter is not w, x or y.
+
+A step that writes new letters extends the pattern over just those.
+
+Any string is accepted: every character but a, e, i, o, u and a "y"
+after a consonant counts as a consonant, even uppercase, digits, "é".
 """
 
 from __future__ import annotations
@@ -15,211 +29,138 @@ from __future__ import annotations
 _VOWELS = "aeiou"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a consonant at word start or after a vowel
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+class _Rules(dict):
+    """Suffix -> replacement; only a step's longest matching suffix counts."""
+
+    def __init__(self, rules: dict[str, str]) -> None:
+        super().__init__(rules)
+        self.lengths = sorted({len(s) for s in rules}, reverse=True)
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences: [C](VC)^m[V] -> m."""
-    n = 0
-    i = 0
-    length = len(stem)
-    while i < length and _is_consonant(stem, i):
-        i += 1
-    while i < length:
-        while i < length and not _is_consonant(stem, i):
-            i += 1
-        if i >= length:
-            break
-        n += 1
-        while i < length and _is_consonant(stem, i):
-            i += 1
-    return n
+_STEP2 = _Rules({
+    "ational": "ate",
+    "ization": "ize",
+    "iveness": "ive",
+    "fulness": "ful",
+    "ousness": "ous",
+    "tional": "tion",
+    "biliti": "ble",
+    "ation": "ate",
+    "alism": "al",
+    "aliti": "al",
+    "iviti": "ive",
+    "ousli": "ous",
+    "entli": "ent",
+    "enci": "ence",
+    "anci": "ance",
+    "izer": "ize",
+    "alli": "al",
+    "ator": "ate",
+    "logi": "log",
+    "bli": "ble",
+    "eli": "e",
+})
+
+_STEP3 = _Rules({
+    "icate": "ic",
+    "ative": "",
+    "alize": "al",
+    "iciti": "ic",
+    "ical": "ic",
+    "ness": "",
+    "ful": "",
+})
+
+_STEP4 = _Rules({
+    "ement": "",
+    "ance": "",
+    "ence": "",
+    "able": "",
+    "ible": "",
+    "ment": "",
+    "ant": "",
+    "ent": "",
+    "ion": "",
+    "ism": "",
+    "ate": "",
+    "iti": "",
+    "ous": "",
+    "ive": "",
+    "ize": "",
+    "al": "",
+    "er": "",
+    "ic": "",
+    "ou": "",
+})
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _pattern(letters: str, p: str = "") -> str:
+    """The pattern `p` of a word's prefix, extended over the `letters` after it."""
+    for ch in letters:
+        p += "v" if ch in _VOWELS or (ch == "y" and p[-1:] == "c") else "c"
+    return p
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+def _replace(word: str, p: str, n: int, repl: str) -> tuple[str, str]:
+    """Replace the last `n` letters of `word` by `repl`; return the word and its pattern."""
+    k = len(word) - n
+    return word[:k] + repl, _pattern(repl, p[:k])
 
 
-def _ends_cvc(stem: str) -> bool:
-    # consonant-vowel-consonant, where the final consonant is not w, x or y
-    if len(stem) < 3:
-        return False
-    return (
-        _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
-        and stem[-1] not in "wxy"
-    )
+def _ends_cvc(word: str, p: str) -> bool:
+    return p.endswith("cvc") and word[-1] not in "wxy"
 
 
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+def _replace_suffix(word: str, p: str, rules: _Rules, min_measure: int) -> tuple[str, str]:
+    """Apply the longest suffix in `rules` if its stem has measure >= `min_measure`."""
+    for n in rules.lengths:
+        suffix = word[-n:]
+        repl = rules.get(suffix)
+        if repl is None:
+            continue
+        if p[:-n].count("vc") < min_measure:
+            return word, p
+        # step 4 removes -ion only after s or t
+        if suffix == "ion" and not word[:-n].endswith(("s", "t")):
+            return word, p
+        return _replace(word, p, n, repl)
+    return word, p
 
 
-def _step1b(word: str) -> str:
+def _step1b(word: str, p: str) -> tuple[str, str]:
     if word.endswith("eed"):
-        stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    removed = False
-    if word.endswith("ed"):
-        if _has_vowel(word[:-2]):
-            word = word[:-2]
-            removed = True
-    elif word.endswith("ing"):
-        if _has_vowel(word[:-3]):
-            word = word[:-3]
-            removed = True
-    if removed:
-        if word.endswith(("at", "bl", "iz")):
-            return word + "e"
-        if _ends_double_consonant(word) and word[-1] not in "lsz":
-            return word[:-1]
-        if _measure(word) == 1 and _ends_cvc(word):
-            return word + "e"
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-# (suffix, replacement) pairs; within a step only the longest matching
-# suffix is considered, and its measure condition decides the outcome.
-_STEP2 = (
-    ("ational", "ate"),
-    ("ization", "ize"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("tional", "tion"),
-    ("biliti", "ble"),
-    ("ation", "ate"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("ousli", "ous"),
-    ("entli", "ent"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("alli", "al"),
-    ("ator", "ate"),
-    ("logi", "log"),
-    ("bli", "ble"),
-    ("eli", "e"),
-)
-
-_STEP3 = (
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
-)
-
-_STEP4 = (
-    "ement",
-    "ance",
-    "ence",
-    "able",
-    "ible",
-    "ment",
-    "ant",
-    "ent",
-    "ion",
-    "ism",
-    "ate",
-    "iti",
-    "ous",
-    "ive",
-    "ize",
-    "al",
-    "er",
-    "ic",
-    "ou",
-)
-
-
-def _step2(word: str) -> str:
-    for suffix, repl in _STEP2:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            return stem + repl if _measure(stem) > 0 else word
-    return word
-
-
-def _step3(word: str) -> str:
-    for suffix, repl in _STEP3:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            return stem + repl if _measure(stem) > 0 else word
-    return word
-
-
-def _step4(word: str) -> str:
-    for suffix in _STEP4:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) <= 1:
-                return word
-            if suffix == "ion" and not stem.endswith(("s", "t")):
-                return word
-            return stem
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
-    return word
+        return (word[:-1], p[:-1]) if p[:-3].count("vc") > 0 else (word, p)
+    n = 2 if word.endswith("ed") else 3 if word.endswith("ing") else 0
+    if not n or "v" not in p[:-n]:
+        return word, p
+    word, p = word[:-n], p[:-n]
+    if word.endswith(("at", "bl", "iz")):
+        return _replace(word, p, 0, "e")
+    if len(word) > 1 and word[-1] == word[-2] and p[-1] == "c" and word[-1] not in "lsz":
+        return word[:-1], p[:-1]
+    if p.count("vc") == 1 and _ends_cvc(word, p):
+        return _replace(word, p, 0, "e")
+    return word, p
 
 
 def porter_stem(word: str) -> str:
     """Return the Porter stem of a lowercase word."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    if word.endswith(("sses", "ies")):
+        word = word[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word = word[:-1]
+    word, p = _step1b(word, _pattern(word))
+    if word.endswith("y") and "v" in p[:-1]:
+        word, p = _replace(word, p, 1, "i")
+    word, p = _replace_suffix(word, p, _STEP2, 1)
+    word, p = _replace_suffix(word, p, _STEP3, 1)
+    word, p = _replace_suffix(word, p, _STEP4, 2)
+    if word.endswith("e"):
+        m = p[:-1].count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], p[:-1])):
+            word, p = word[:-1], p[:-1]
+    if word.endswith("ll") and p.count("vc") > 1:
+        word = word[:-1]
     return word

@@ -13,10 +13,11 @@ import re
 from collections import defaultdict
 from typing import Iterable
 
+from .textproc import split_tokens
+
 # Characters that break a phrase: anything that is neither alphanumeric
 # nor whitespace.  Whitespace only separates words within a phrase.
 _PHRASE_BREAK_RE = re.compile(r"[^\w\s]|_", re.UNICODE)
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...]]:
@@ -25,7 +26,7 @@ def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...
     phrases: list[tuple[str, ...]] = []
     for segment in _PHRASE_BREAK_RE.split(raw.lower()):
         current: list[str] = []
-        for word in _WORD_RE.findall(segment):
+        for word in split_tokens(segment):
             if word in stopset:
                 if current:
                     phrases.append(tuple(current))

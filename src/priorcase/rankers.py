@@ -434,6 +434,8 @@ class Searcher:
             raise ValueError("search_all needs the pipeline configuration to tokenize queries")
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
 
         def one(item: tuple[str, str]) -> tuple[str, Ranking]:
             qid, text = item

@@ -117,6 +117,18 @@ class TestSearchCommand:
         assert main(argv[:4] + [str(matched)] + argv[5:]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_a_one_line_error(self, paths, capsys, workers):
+        build_synthetic_index(paths)
+        capsys.readouterr()
+        code = main([
+            "search", "--index", paths["index"], "--queries", paths["queries"],
+            "--scorer", "bm25", "--out", paths["run"], "--workers", workers,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not Path(paths["run"]).exists()
+
     def test_tag_defaults_to_scorer_name(self, paths):
         build_synthetic_index(paths)
         main(["search", "--index", paths["index"], "--queries", paths["queries"],

@@ -1,8 +1,13 @@
 """Porter stemmer versus the published reference vocabulary."""
 
-from hypothesis import given, strategies as st
+import hashlib
+import random
+import string
+
+from hypothesis import given, settings, strategies as st
 
 from priorcase.porter import porter_stem
+from priorcase.textproc import split_tokens
 
 # (word, stem) pairs from the reference vocabulary of the algorithm;
 # together they exercise every step
@@ -117,3 +122,61 @@ def test_never_lengthens(word):
 def test_output_is_lowercase_alpha(word):
     stem = porter_stem(word)
     assert stem and stem.isalpha() and stem == stem.lower()
+
+
+# every suffix the rules test for (steps 2, 3 and 4, then the step 1 and
+# step 5 conditions), so the golden list reaches every branch
+RULE_SUFFIXES = (
+    "ational", "ization", "iveness", "fulness", "ousness", "tional",
+    "biliti", "ation", "alism", "aliti", "iviti", "ousli", "entli", "enci",
+    "anci", "izer", "alli", "ator", "logi", "bli", "eli",
+    "icate", "ative", "alize", "iciti", "ical", "ness", "ful",
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ion",
+    "ism", "ate", "iti", "ous", "ive", "ize", "al", "er", "ic", "ou",
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y",
+    "e", "ll",
+)
+ENDINGS = ("", "s", "ed", "ing", "e", "y")
+# extra "y" so runs of y, whose class alternates, are common
+STEM_LETTERS = string.ascii_lowercase + "yyyy"
+# sha256 of the "word\tstem\n" lines of golden_words(), recorded from
+# the stemmer that was checked against the reference vocabulary
+GOLDEN_SHA256 = "8a0b787f319eb78d02ae5904a8571cf0481d433530f4c3950bf7fa16c4b5a04b"
+
+
+def golden_words() -> list[str]:
+    """49,200 words: a random 0-7 letter stem, a rule suffix, an ending."""
+    rng = random.Random(1980)
+    words = []
+    for _ in range(820):
+        for suffix in RULE_SUFFIXES:
+            stem = "".join(rng.choices(STEM_LETTERS, k=rng.randint(0, 7)))
+            words.append(stem + suffix + rng.choice(ENDINGS))
+    return words
+
+
+def test_golden_stems_are_unchanged():
+    lines = "".join(f"{word}\t{porter_stem(word)}\n" for word in golden_words())
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == GOLDEN_SHA256
+
+
+# any token the pipeline can hand the stemmer: lowercasing may be off,
+# and tokens keep digits and non-ASCII letters; a third end in a rule suffix
+_LETTERS = "aeiouyYbcdlnrstzAEIZ019\u00e9\u00df"
+PIPELINE_TOKENS = st.one_of(
+    st.from_regex(r"[^\W_]+", fullmatch=True),
+    st.text(alphabet=_LETTERS, min_size=1, max_size=16),
+    st.tuples(
+        st.text(alphabet=_LETTERS, max_size=4), st.sampled_from(RULE_SUFFIXES)
+    ).map("".join),
+)
+
+
+@settings(max_examples=500)
+@given(PIPELINE_TOKENS)
+def test_any_pipeline_token_is_stemmed_safely(token):
+    assert split_tokens(token) == [token]
+    stem = porter_stem(token)
+    assert len(stem) <= len(token)
+    if len(token) <= 2:
+        assert stem == token

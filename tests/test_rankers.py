@@ -448,6 +448,14 @@ class TestExactReference:
         assert [d for d, _ in run["q"]] == ["e0", "d0", "d1"]
         assert run["q"][1][1] == 0.0
 
+    @pytest.mark.parametrize("top_n, workers", [(0, 1), (-1, 1), (1, 0), (1, -1)])
+    def test_top_n_and_workers_below_one_are_rejected(self, top_n, workers):
+        fp = pipeline_fingerprint(PRESET_STANDARD)
+        searcher = Searcher(build_index([("d1", ["court"])], fp), config=PRESET_STANDARD)
+        name = "top_n" if top_n < 1 else "workers"
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            searcher.search_all([("q", "court")], "bm25", top_n=top_n, workers=workers)
+
     def test_persisted_copy_searches_identically(self, tmp_path):
         rng = random.Random(5150)
         for trial in range(10):
