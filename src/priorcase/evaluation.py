@@ -173,35 +173,32 @@ def load_run(path: str | Path) -> Run:
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
+        # text mode turns every line ending into "\n", so these are its lines
+        lines = fh.read().split("\n")
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
+        if len(parts) != 6:
+            if parts:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'query_id Q0 doc_id rank score tag'"
                 )
-            qid, _unused, doc_id, rank_s, score_s, _tag = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed rank or score") from None
-            rows.setdefault(qid, []).append((rank, doc_id, score))
+            continue
+        try:
+            entry = (int(parts[3]), parts[2], float(parts[4]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed rank or score") from None
+        rows.setdefault(parts[0], []).append(entry)
     if not rows:
         raise ValueError(f"no results found in {path}")
 
     run: Run = {}
     for qid, entries in rows.items():
         entries.sort()
-        ranks = [rank for rank, _d, _s in entries]
-        if ranks != list(range(1, len(ranks) + 1)):
+        ranks, doc_ids, scores = zip(*entries)
+        if ranks != tuple(range(1, len(ranks) + 1)):
             raise ValueError(f"{path}: ranks for query {qid!r} are not contiguous from 1")
-        doc_ids = [doc_id for _r, doc_id, _s in entries]
         if len(set(doc_ids)) != len(doc_ids):
             raise ValueError(f"{path}: query {qid!r} lists a document more than once")
-        run[qid] = [(doc_id, score) for _r, doc_id, score in entries]
+        run[qid] = list(zip(doc_ids, scores))
     return run
 
 
@@ -209,10 +206,13 @@ def write_run(run: Run, path: str | Path, tag: str) -> None:
     """Write a run file, queries in ascending id order, ranks from 1."""
     if not tag or any(ch.isspace() for ch in tag):
         raise ValueError(f"run tag must be a single non-empty word, got {tag!r}")
+    lines = [
+        f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"
+        for qid in sorted(run)
+        for rank, (doc_id, score) in enumerate(run[qid], start=1)
+    ]
     with atomic_open(path) as out:
-        for qid in sorted(run):
-            for rank, (doc_id, score) in enumerate(run[qid], start=1):
-                out.write(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
+        out.write("".join(lines))
 
 
 def format_report(report: EvalReport, per_query: bool = False) -> str:

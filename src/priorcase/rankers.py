@@ -16,10 +16,13 @@ Every scorer returns a full ranking over the corpus: scores descending,
 ties broken by ascending document id.  All scorers are pure functions of
 (query, index, parameters), so scoring is safe to run concurrently.
 
-Each lexical scorer accumulates per-term impacts over the index's CSR
-postings into a dense float64 array with one slot per document; the
-corpus statistics they share are computed once, when the `Searcher` is
-built.
+Each lexical scorer gathers the postings of all its query terms at once,
+each term's slice kept whole and in first-occurrence order, computes
+every posting's impact in one array expression and adds them into one
+slot per document with one `np.bincount`.  Bincount adds in input order
+from 0.0, so each document sees the same float additions as a term-by-
+term accumulation.  The corpus statistics the scorers share, IDF tables
+by df included, are computed once, when the `Searcher` is built.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -104,12 +107,13 @@ def _bm25_idf(
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def _bm25_impact(tf, norm, idf: float, params: BM25Params, variant: Variant):
+def _bm25_impact(tf, norm, idf, params: BM25Params, variant: Variant):
     """Impact of a term with frequency `tf` in documents of length norm `norm`.
 
-    `tf` and `norm` are both scalars or both arrays over one term's
-    postings; either way the float64 operations run in the same order,
-    so the scalar and array paths give identical bits.
+    `tf`, `norm` and `idf` are scalars or arrays over postings (an
+    array `idf` repeats each term's IDF over its postings); either way
+    the float64 operations run in the same order, so the scalar and
+    array paths give identical bits.
     """
     k1 = params.k1
     if variant is Variant.BM25L:
@@ -238,13 +242,17 @@ class Searcher:
         self.embeddings = embeddings
         self.corpus_texts = corpus_texts
 
-        self._offsets = index.offsets.tolist()
         self._df = np.diff(index.offsets)
         self._norm = 1.0 - params.b + params.b * (index.lengths / index.avg_len)
-        self._okapi_avg_idf = okapi_mean_idf(index)
         n = index.n_docs
-        self._idf = np.array([math.log(n / df) for df in index.df.values()])
-        self._sq_norms = self._squared_norms(np.arange(len(index.terms)))
+        avg_idf = okapi_mean_idf(index)
+        # each variant's IDF by df (slot 0 unused), from the scalar `math.log`:
+        # `np.log` can differ from it in the last bit
+        dfs = range(1, n + 1)
+        self._idf_by_df = {v: np.array([math.nan] + [
+            _bm25_idf(v, df, n, params.epsilon, avg_idf) for df in dfs]) for v in Variant}
+        self._idf = self._idf_by_df[Variant.ATIRE][self._df]
+        self._sq_norms = self._squared_norms(None)
         self._rake_vocab: frozenset[str] = frozenset()
         self._rake_sq_norms = np.zeros(n)
         if corpus_texts is not None and config is not None:
@@ -258,29 +266,32 @@ class Searcher:
 
     # -- postings access -------------------------------------------------------
 
-    def _postings(
-        self, counts: Iterable[tuple[str, int]]
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """(term id, count, positions, tfs) of each in-vocabulary term."""
-        idx = self.index
-        for term, count in counts:
-            tid = idx.term_ids.get(term)
-            if tid is not None:
-                lo, hi = self._offsets[tid], self._offsets[tid + 1]
-                yield tid, count, idx.positions[lo:hi], idx.tfs[lo:hi]
+    def _query_terms(self, query: TokenStream) -> np.ndarray:
+        """Two rows, ids and query counts, of the in-vocabulary terms in
+        first-occurrence (`Counter`) order."""
+        term_ids = self.index.term_ids
+        pairs = [(term_ids[t], c) for t, c in Counter(query).items() if t in term_ids]
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
-    def _squared_norms(self, tids: np.ndarray) -> np.ndarray:
-        """Per-document sums of squared TF-IDF weights over the terms
-        `tids` (ascending term ids), added up in term order.
-
-        Reads only those terms' postings slices.
-        """
-        idx = self.index
+    def _gather(self, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Postings indexes of the terms `tids`, each term's slice whole and
+        in `tids` order, and each term's df."""
         df = self._df[tids]
         # the k-th gathered posting belongs to a term whose slice starts at
         # offsets[tid] and whose first gathered posting is number first[tid]
         first = np.cumsum(df) - df
-        at = np.arange(df.sum()) + np.repeat(idx.offsets[tids] - first, df)
+        return np.arange(df.sum()) + np.repeat(self.index.offsets[tids] - first, df), df
+
+    def _squared_norms(self, tids: np.ndarray | None) -> np.ndarray:
+        """Per-document sums of squared TF-IDF weights over the terms
+        `tids` (ascending term ids; every term when None), added up in
+        term order.
+        """
+        idx = self.index
+        if tids is None:  # every posting in order: the gather would be the identity
+            at, tids, df = slice(None), slice(None), self._df
+        else:
+            at, df = self._gather(tids)
         w = idx.tfs[at] * np.repeat(self._idf[tids], df)
         return np.bincount(idx.positions[at], weights=w * w, minlength=idx.n_docs)
 
@@ -315,28 +326,31 @@ class Searcher:
     # -- individual scorers --------------------------------------------------
 
     def _bm25(self, query: TokenStream, variant: Variant) -> np.ndarray:
-        n = self.index.n_docs
-        acc = np.zeros(n)
-        for _tid, qcount, pos, tfs in self._postings(Counter(query).items()):
-            idf = _bm25_idf(variant, len(pos), n, self.params.epsilon, self._okapi_avg_idf)
-            acc[pos] += qcount * _bm25_impact(tfs, self._norm[pos], idf, self.params, variant)
-        return acc
+        tids, counts = self._query_terms(query)
+        at, df = self._gather(tids)
+        pos = self.index.positions[at]
+        idf = np.repeat(self._idf_by_df[variant][df], df)
+        impact = _bm25_impact(self.index.tfs[at], self._norm[pos], idf, self.params, variant)
+        return np.bincount(pos, weights=np.repeat(counts, df) * impact,
+                           minlength=self.index.n_docs)
 
     def _tfidf(self, query: TokenStream, sq_norms: np.ndarray | None = None) -> np.ndarray:
         scores = np.zeros(self.index.n_docs)
-        weighted = []
-        for tid, tf, pos, tfs in self._postings(Counter(query).items()):
-            idf = float(self._idf[tid])
-            weight = tf * idf
-            if weight != 0.0:
-                weighted.append((weight, idf, pos, tfs))
-        if not weighted:
+        tids, counts = self._query_terms(query)
+        idf = self._idf[tids]
+        weight = counts * idf
+        kept = weight != 0.0
+        tids, idf, weight = tids[kept], idf[kept], weight[kept]
+        if not tids.size:
             return scores
-        query_norm = math.sqrt(sum(w * w for w, _idf, _pos, _tfs in weighted))
+        query_norm = math.sqrt(sum(w * w for w in weight.tolist()))
 
-        dots = np.zeros(self.index.n_docs)
-        for qw, idf, pos, tfs in weighted:
-            dots[pos] += qw * tfs * idf
+        at, df = self._gather(tids)
+        dots = np.bincount(
+            self.index.positions[at],
+            weights=np.repeat(weight, df) * self.index.tfs[at] * np.repeat(idf, df),
+            minlength=self.index.n_docs,
+        )
         if sq_norms is None:
             sq_norms = self._sq_norms
         nonzero = sq_norms > 0.0
@@ -363,9 +377,8 @@ class Searcher:
         return self._tfidf([t for t in query if t in base or t in query_words], sq_norms)
 
     def _commonwords(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
-        overlap = np.zeros(self.index.n_docs)
-        for _tid, _count, pos, _tfs in self._postings((term, 1) for term in set(query)):
-            overlap[pos] += 1
+        at, _df = self._gather(self._query_terms(query)[0])
+        overlap = np.bincount(self.index.positions[at], minlength=self.index.n_docs)
         return overlap * self._bm25(query, Variant.ATIRE)
 
     def _embed(self, _query, query_id: str | None, _query_text) -> np.ndarray:

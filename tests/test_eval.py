@@ -1,6 +1,7 @@
 """Evaluation metrics, aggregation rules, and interchange file IO."""
 
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,47 @@ class TestInterchangeFiles:
         path.write_text("q1 Q0 a 1 1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
             load_run(path)
+
+
+    def test_run_malformed_rank_or_score_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.run"
+        for bad in ("q1 Q0 b two 0.5 t", "q1 Q0 b 2 high t", "q1 Q0 b 2.0 0.5 t"):
+            path.write_text(f"q1 Q0 a 1 1.0 t\n\n{bad}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: malformed rank or score$"):
+                load_run(path)
+
+    def test_run_lines_out_of_order_are_sorted_by_rank(self, tmp_path):
+        path = tmp_path / "shuffled.run"
+        path.write_text(
+            "q2 Q0 x 2 0.25 t\nq1 Q0 b 3 0.5 t\nq1 Q0 a 1 2.0 t\nq2 Q0 y 1 0.75 t\n"
+            "q1 Q0 c 2 1.0 t\n",
+            encoding="utf-8",
+        )
+        assert load_run(path) == {
+            "q1": [("a", 2.0), ("c", 1.0), ("b", 0.5)],
+            "q2": [("y", 0.75), ("x", 0.25)],
+        }
+
+    def test_run_blank_lines_and_crlf_load(self, tmp_path):
+        path = tmp_path / "crlf.run"
+        path.write_bytes(b"\r\nq1 Q0 a 1 1.5 t\r\n  \r\nq1 Q0 b 2 0.5 t\r\n\r\n")
+        assert load_run(path) == {"q1": [("a", 1.5), ("b", 0.5)]}
+
+    def test_run_empty_file_has_no_results(self, tmp_path):
+        path = tmp_path / "empty.run"
+        for text in ("", "\n  \n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^no results found in {re.escape(str(path))}$"):
+                load_run(path)
+
+    def test_run_file_bytes_are_fixed(self, tmp_path):
+        run = {"q10": [("b", 1 / 3), ("a", 0.0)], "q9": [("c", -2.5), ("d", 1e-7)], "q0": []}
+        path = tmp_path / "out.run"
+        write_run(run, path, tag="x")
+        assert path.read_bytes() == (
+            b"q10 Q0 b 1 0.333333 x\nq10 Q0 a 2 0.000000 x\n"
+            b"q9 Q0 c 1 -2.500000 x\nq9 Q0 d 2 0.000000 x\n"
+        )
 
 
 def test_format_report_contains_machine_lines(synthetic_dir):

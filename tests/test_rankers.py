@@ -15,6 +15,7 @@ from priorcase.rankers import (
     BM25Params,
     Searcher,
     Variant,
+    _bm25_idf,
     bm25_term_score,
     build_rake_vocabulary,
     fuse_product,
@@ -475,6 +476,90 @@ class TestExactReference:
                 for idx in (built, loaded)
             ]
             assert runs[0] == runs[1]
+
+
+    PARAMS = (BM25Params(), BM25Params(k1=0.9, b=0.4, delta=0.7),
+              BM25Params(k1=2.0, b=1.0, epsilon=0.5))
+
+    def _check(self, raw, texts):
+        """Every lexical scorer equals the reference on `texts`; returns the searchers."""
+        config = PRESET_STANDARD
+        docs = [(d, tokenize_normalize(t, config)) for d, t in raw.items()]
+        index = build_index(docs, pipeline_fingerprint(config))
+        searchers = []
+        for params in self.PARAMS:
+            searcher = Searcher(index, config=config, params=params, corpus_texts=raw)
+            for text in texts:
+                query = tokenize_normalize(text, config)
+                for scorer in LEXICAL:
+                    assert searcher.score(scorer, query, query_text=text) == reference_ranking(
+                        index, scorer, query, params, (raw, text, config)), (scorer, text)
+            searchers.append(searcher)
+        return searchers
+
+    def test_query_terms_repeated_up_to_five_times(self):
+        rng = random.Random(55)
+        for _ in range(12):
+            raw = make_random_corpus(rng, vocab_limit=rng.choice([6, 14]))
+            pool = sorted({w for t in raw.values() for w in t.split() if w in CONTENT_WORDS})
+            texts = []
+            for _q in range(3):
+                words = [w for w in rng.sample(pool, min(4, len(pool)))
+                         for _k in range(rng.randint(1, 5))]
+                rng.shuffle(words)
+                texts.append(" ".join(words))
+            self._check(raw, texts)
+
+    def test_term_in_every_document(self):
+        # "court" is in all five documents: ATIRE IDF 0, TF-IDF weight 0, and
+        # with most terms that common the Okapi floor is negative
+        raw = {"d1": "court appeal court", "d2": "court appeal tax", "d3": "court appeal",
+               "d4": "court tax appeal lease", "d5": "court court court"}
+        texts = ["court", "court court tax", "tax court lease", "appeal court"]
+        searcher = self._check(raw, texts)[0]
+        assert okapi_mean_idf(searcher.index) < 0.0
+        assert all(s == 0.0 for _d, s in searcher.score("bm25", ["court"]))
+        assert all(s == 0.0 for _d, s in searcher.score("tfidf_cos", ["court", "court"]))
+        # the zero-weight term is left out of the query norm as well as the dots
+        assert searcher.score("tfidf_cos", ["court", "tax"]) == searcher.score(
+            "tfidf_cos", ["tax"])
+        assert all(s < 0.0 for _d, s in searcher.score("bm25_okapi", ["court"]))
+
+    def test_out_of_vocabulary_and_empty_queries(self):
+        raw = {"d1": "court appeal", "d2": "tax lease", "d3": "court tax"}
+        texts = ["", "the of and", "zzyzx", "zzyzx qwerty zzyzx"]
+        searcher = self._check(raw, texts)[0]
+        for scorer in LEXICAL:
+            query_text = "zzyzx qwerty"
+            ranking = searcher.score(scorer, ["zzyzx", "qwerty"], query_text=query_text)
+            assert ranking == [("d1", 0.0), ("d2", 0.0), ("d3", 0.0)], scorer
+
+    def test_one_document_corpus(self):
+        self._check({"only": "court appeal court tax"},
+                    ["court", "court tax tax", "appeal lease", "lease"])
+
+    def test_idf_is_the_scalar_log(self):
+        # with numpy 2.4 on x86-64, np.log(21 / 20) is one bit off math.log(21 / 20);
+        # the scorers must use the scalar value the reference uses
+        raw = {f"d{i:02d}": "court appeal" if i else "tax" for i in range(21)}
+        self._check(raw, ["court", "court tax", "appeal court tax"])
+
+    def test_idf_tables_equal_scalar_idf(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            setup = _random_setup(rng)
+            if setup is None:
+                continue
+            _config, _raw, index = setup
+            n = index.n_docs
+            avg_idf = okapi_mean_idf(index)
+            for params in self.PARAMS:
+                tables = Searcher(index, params=params)._idf_by_df
+                for variant in Variant:
+                    assert len(tables[variant]) == n + 1
+                    for df in range(1, n + 1):
+                        assert tables[variant][df] == _bm25_idf(
+                            variant, df, n, params.epsilon, avg_idf), (variant, df)
 
 
 class TestOkapiNegativeFloor:
