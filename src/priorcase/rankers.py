@@ -346,11 +346,8 @@ class Searcher:
         query_norm = math.sqrt(sum(w * w for w in weight.tolist()))
 
         at, df = self._gather(tids)
-        dots = np.bincount(
-            self.index.positions[at],
-            weights=np.repeat(weight, df) * self.index.tfs[at] * np.repeat(idf, df),
-            minlength=self.index.n_docs,
-        )
+        impacts = np.repeat(weight, df) * self.index.tfs[at] * np.repeat(idf, df)
+        dots = np.bincount(self.index.positions[at], weights=impacts, minlength=self.index.n_docs)
         if sq_norms is None:
             sq_norms = self._sq_norms
         nonzero = sq_norms > 0.0

@@ -398,6 +398,9 @@ def _random_setup(rng):
 
 
 class TestExactReference:
+    PARAMS = (BM25Params(), BM25Params(k1=0.9, b=0.4, delta=0.7),
+              BM25Params(k1=2.0, b=1.0, epsilon=0.5))
+
     def test_scores_equal_per_posting_reference(self):
         rng = random.Random(4242)
         checked = 0
@@ -406,8 +409,7 @@ class TestExactReference:
             if setup is None:
                 continue
             config, raw, index = setup
-            params = rng.choice([BM25Params(), BM25Params(k1=0.9, b=0.4, delta=0.7),
-                                 BM25Params(k1=2.0, b=1.0, epsilon=0.5)])
+            params = rng.choice(self.PARAMS)
             searcher = Searcher(index, config=config, params=params, corpus_texts=raw)
             for _q in range(3):
                 text = make_random_query(rng, raw)
@@ -477,9 +479,6 @@ class TestExactReference:
             ]
             assert runs[0] == runs[1]
 
-
-    PARAMS = (BM25Params(), BM25Params(k1=0.9, b=0.4, delta=0.7),
-              BM25Params(k1=2.0, b=1.0, epsilon=0.5))
 
     def _check(self, raw, texts):
         """Every lexical scorer equals the reference on `texts`; returns the searchers."""
