@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+TARGET = ROOT / "data" / "synthetic" / "expected_metrics.json"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from priorcase.evaluation import load_qrels
 from priorcase.index import read_corpus_dir, read_queries_file
@@ -29,8 +30,9 @@ TOP_N = 10
 SCORER = "bm25"
 
 
-def main() -> None:
-    data = ROOT / "data" / "synthetic"
+def expected_metrics_json() -> str:
+    """The text of data/synthetic/expected_metrics.json."""
+    data = TARGET.parent
     raw_docs = dict(read_corpus_dir(data / "corpus"))
     queries = read_queries_file(data / "queries.tsv")
     qrels = load_qrels(data / "qrels.txt")
@@ -95,9 +97,14 @@ def main() -> None:
         "skipped": skipped,
         "mean": mean,
     }
-    target = data / "expected_metrics.json"
-    target.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {target}")
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def main() -> None:
+    text = expected_metrics_json()
+    TARGET.write_text(text, encoding="utf-8")
+    print(f"wrote {TARGET}")
+    rankings = json.loads(text)["rankings"]
     for qid in sorted(rankings):
         print(qid, "->", " ".join(rankings[qid]))
 

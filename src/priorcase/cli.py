@@ -169,7 +169,7 @@ def cmd_index(settings: dict) -> int:
     tokenized = zip(doc_ids, tokenize_corpus(texts, config, stopwords))
     index = build_index(tokenized, pipeline_fingerprint(config, stopwords))
     persist_index(index, out)
-    print(f"indexed {index.n_docs} documents, {len(index.postings)} terms -> {out}")
+    print(f"indexed {index.n_docs} documents, {len(index.terms)} terms -> {out}")
     return 0
 
 
@@ -290,7 +290,16 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="drop tokens shorter than N during noise removal")
 
 
-def _add_params_flags(parser: argparse.ArgumentParser) -> None:
+def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags `search` and `compare` share: one place, so they cannot drift."""
+    parser.add_argument("--index", metavar="FILE")
+    parser.add_argument("--queries", metavar="FILE", help="query_id<TAB>query_text lines")
+    parser.add_argument("--top", dest="top_n", type=int, metavar="N",
+                        help=f"results per query (default {DEFAULT_TOP_N})")
+    parser.add_argument("--corpus", metavar="DIR", help="raw corpus (rake_tfidf only)")
+    parser.add_argument("--embeddings", metavar="FILE", help="embedding sidecar (embed only)")
+    parser.add_argument("--workers", type=int, help="parallel query scoring threads")
+    _add_pipeline_flags(parser)
     parser.add_argument("--k1", type=float, help="BM25 k1 (default 1.5)")
     parser.add_argument("--b", type=float, help="BM25 b (default 0.75)")
     parser.add_argument("--epsilon", type=float, help="Okapi negative-IDF floor factor (default 0.25)")
@@ -311,18 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
 
     p = sub.add_parser("search", help="rank all queries and write a run file")
-    p.add_argument("--index", metavar="FILE")
-    p.add_argument("--queries", metavar="FILE", help="query_id<TAB>query_text lines")
+    _add_ranking_flags(p)
     p.add_argument("--scorer", choices=list(SCORER_NAMES))
     p.add_argument("--out", metavar="RUN")
-    p.add_argument("--top", dest="top_n", type=int, metavar="N",
-                   help=f"results per query (default {DEFAULT_TOP_N})")
-    p.add_argument("--corpus", metavar="DIR", help="raw corpus (rake_tfidf only)")
-    p.add_argument("--embeddings", metavar="FILE", help="embedding sidecar (embed only)")
-    p.add_argument("--workers", type=int, help="parallel query scoring threads")
     p.add_argument("--tag", help="run tag (default: scorer name)")
-    _add_pipeline_flags(p)
-    _add_params_flags(p)
 
     p = sub.add_parser("eval", help="score a run file against qrels")
     p.add_argument("--run", metavar="RUN")
@@ -335,16 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "harmonic mean of mean P and mean R")
 
     p = sub.add_parser("compare", help="run several scorers and tabulate quality")
-    p.add_argument("--index", metavar="FILE")
-    p.add_argument("--queries", metavar="FILE")
+    _add_ranking_flags(p)
     p.add_argument("--qrels", metavar="FILE")
     p.add_argument("--scorers", metavar="LIST",
                    help=f"comma-separated scorer names (default {DEFAULT_COMPARE_SCORERS})")
-    p.add_argument("--top", dest="top_n", type=int, metavar="N")
-    p.add_argument("--corpus", metavar="DIR", help="raw corpus (rake_tfidf only)")
-    p.add_argument("--embeddings", metavar="FILE", help="embedding sidecar (embed only)")
-    p.add_argument("--workers", type=int)
-    _add_params_flags(p)
     return parser
 
 

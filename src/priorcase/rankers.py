@@ -16,13 +16,15 @@ Every scorer returns a full ranking over the corpus: scores descending,
 ties broken by ascending document id.  All scorers are pure functions of
 (query, index, parameters), so scoring is safe to run concurrently.
 
-Each lexical scorer gathers the postings of all its query terms at once,
-each term's slice kept whole and in first-occurrence order, computes
-every posting's impact in one array expression and adds them into one
+Each lexical scorer gathers the postings of all its query terms once per
+query, each term's slice kept whole and in first-occurrence order;
+`fused` and `commonwords_bm25` share that one gather between their two
+halves.  Every posting's impact is one array expression, added into one
 slot per document with one `np.bincount`.  Bincount adds in input order
 from 0.0, so each document sees the same float additions as a term-by-
-term accumulation.  The corpus statistics the scorers share, IDF tables
-by df included, are computed once, when the `Searcher` is built.
+term accumulation.  The corpus statistics the scorers share are computed
+once, when the `Searcher` is built; among them is one IDF table by df
+per BM25 variant, and TF-IDF reads the ATIRE one.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .stopwords import ENGLISH_STOPWORDS
 from .textproc import PipelineConfig, TokenStream, pipeline_fingerprint, tokenize_normalize
 
 Ranking = list[tuple[str, float]]
+_Postings = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class Variant(Enum):
@@ -159,8 +162,10 @@ def bm25_term_score(
 def okapi_mean_idf(index: CorpusIndex) -> float:
     """Mean raw Okapi IDF over the whole vocabulary (may be negative)."""
     n = index.n_docs
-    total = sum(math.log((n - df + 0.5) / (df + 0.5)) for df in index.df.values())
-    return total / len(index.df)
+    dfs = np.diff(index.offsets).tolist()
+    # `math.log` per df, in term order: `np.log` can differ in the last bit
+    total = sum(math.log((n - df + 0.5) / (df + 0.5)) for df in dfs)
+    return total / len(dfs)
 
 
 def fuse_product(bm25, cosine):
@@ -251,7 +256,6 @@ class Searcher:
         dfs = range(1, n + 1)
         self._idf_by_df = {v: np.array([math.nan] + [
             _bm25_idf(v, df, n, params.epsilon, avg_idf) for df in dfs]) for v in Variant}
-        self._idf = self._idf_by_df[Variant.ATIRE][self._df]
         self._sq_norms = self._squared_norms(None)
         self._rake_vocab: frozenset[str] = frozenset()
         self._rake_sq_norms = np.zeros(n)
@@ -260,40 +264,37 @@ class Searcher:
                 sorted(corpus_texts.items()), config, stopset
             )
             self._rake_sq_norms = self._squared_norms(
-                np.flatnonzero([term in self._rake_vocab for term in index.terms])
+                [term for term in index.terms if term in self._rake_vocab]
             )
         self._stack_chunks()
 
     # -- postings access -------------------------------------------------------
 
-    def _query_terms(self, query: TokenStream) -> np.ndarray:
-        """Two rows, ids and query counts, of the in-vocabulary terms in
-        first-occurrence (`Counter`) order."""
-        term_ids = self.index.term_ids
-        pairs = [(term_ids[t], c) for t, c in Counter(query).items() if t in term_ids]
-        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-
-    def _gather(self, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Postings indexes of the terms `tids`, each term's slice whole and
-        in `tids` order, and each term's df."""
+    def _postings(self, terms: Iterable[str]) -> _Postings:
+        """The in-vocabulary terms of `terms` in first-occurrence (`Counter`)
+        order: each one's count and df, then the document position and tf
+        of every posting, each term's slice whole and in that order."""
+        idx = self.index
+        term_ids = idx.term_ids
+        pairs = [(term_ids[t], c) for t, c in Counter(terms).items() if t in term_ids]
+        tids, counts = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         df = self._df[tids]
         # the k-th gathered posting belongs to a term whose slice starts at
         # offsets[tid] and whose first gathered posting is number first[tid]
         first = np.cumsum(df) - df
-        return np.arange(df.sum()) + np.repeat(self.index.offsets[tids] - first, df), df
+        at = np.arange(df.sum()) + np.repeat(idx.offsets[tids] - first, df)
+        return counts, df, idx.positions[at], idx.tfs[at]
 
-    def _squared_norms(self, tids: np.ndarray | None) -> np.ndarray:
-        """Per-document sums of squared TF-IDF weights over the terms
-        `tids` (ascending term ids; every term when None), added up in
-        term order.
-        """
+    def _squared_norms(self, terms: list[str] | None) -> np.ndarray:
+        """Per-document sums of squared TF-IDF weights over `terms`
+        (ascending; every term when None), added up in term order."""
         idx = self.index
-        if tids is None:  # every posting in order: the gather would be the identity
-            at, tids, df = slice(None), slice(None), self._df
+        if terms is None:  # every posting in order: the gather would be the identity
+            df, pos, tf = self._df, idx.positions, idx.tfs
         else:
-            at, df = self._gather(tids)
-        w = idx.tfs[at] * np.repeat(self._idf[tids], df)
-        return np.bincount(idx.positions[at], weights=w * w, minlength=idx.n_docs)
+            _counts, df, pos, tf = self._postings(terms)
+        w = tf * np.repeat(self._idf_by_df[Variant.ATIRE][df], df)
+        return np.bincount(pos, weights=w * w, minlength=idx.n_docs)
 
     def _stack_chunks(self) -> None:
         """Stack every document's chunk vectors, in position order, for `embed`.
@@ -325,29 +326,25 @@ class Searcher:
 
     # -- individual scorers --------------------------------------------------
 
-    def _bm25(self, query: TokenStream, variant: Variant) -> np.ndarray:
-        tids, counts = self._query_terms(query)
-        at, df = self._gather(tids)
-        pos = self.index.positions[at]
+    def _bm25(self, postings: _Postings, variant: Variant) -> np.ndarray:
+        counts, df, pos, tf = postings
         idf = np.repeat(self._idf_by_df[variant][df], df)
-        impact = _bm25_impact(self.index.tfs[at], self._norm[pos], idf, self.params, variant)
+        impact = _bm25_impact(tf, self._norm[pos], idf, self.params, variant)
         return np.bincount(pos, weights=np.repeat(counts, df) * impact,
                            minlength=self.index.n_docs)
 
-    def _tfidf(self, query: TokenStream, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    def _tfidf(self, postings: _Postings, sq_norms: np.ndarray | None = None) -> np.ndarray:
+        # a df = N term weighs ln 1 = 0.0, and every weight is >= 0, so its
+        # postings add +0.0 and leave each sum's bits as they are
+        counts, df, pos, tf = postings
         scores = np.zeros(self.index.n_docs)
-        tids, counts = self._query_terms(query)
-        idf = self._idf[tids]
+        idf = self._idf_by_df[Variant.ATIRE][df]
         weight = counts * idf
-        kept = weight != 0.0
-        tids, idf, weight = tids[kept], idf[kept], weight[kept]
-        if not tids.size:
-            return scores
         query_norm = math.sqrt(sum(w * w for w in weight.tolist()))
-
-        at, df = self._gather(tids)
-        impacts = np.repeat(weight, df) * self.index.tfs[at] * np.repeat(idf, df)
-        dots = np.bincount(self.index.positions[at], weights=impacts, minlength=self.index.n_docs)
+        if query_norm == 0.0:
+            return scores
+        impacts = np.repeat(weight, df) * tf * np.repeat(idf, df)
+        dots = np.bincount(pos, weights=impacts, minlength=self.index.n_docs)
         if sq_norms is None:
             sq_norms = self._sq_norms
         nonzero = sq_norms > 0.0
@@ -355,7 +352,8 @@ class Searcher:
         return scores
 
     def _fused(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
-        return fuse_product(self._bm25(query, Variant.ATIRE), self._tfidf(query))
+        postings = self._postings(query)
+        return fuse_product(self._bm25(postings, Variant.ATIRE), self._tfidf(postings))
 
     def _rake_tfidf(self, query: TokenStream, query_id, query_text: str | None) -> np.ndarray:
         if query_text is None:
@@ -366,17 +364,16 @@ class Searcher:
             raise ValueError("rake_tfidf requires the normalization pipeline configuration")
         query_words = build_rake_vocabulary([(query_id, query_text)], self.config, self.stopwords)
         base = self._rake_vocab
-        term_ids = self.index.term_ids
-        extras = sorted(term_ids[t] for t in query_words if t not in base and t in term_ids)
-        sq_norms = self._rake_sq_norms
-        if extras:
-            sq_norms = sq_norms + self._squared_norms(np.array(extras))
-        return self._tfidf([t for t in query if t in base or t in query_words], sq_norms)
+        # extra keywords outside the index gather nothing and add zeros
+        sq_norms = self._rake_sq_norms + self._squared_norms(sorted(query_words - base))
+        kept = [t for t in query if t in base or t in query_words]
+        return self._tfidf(self._postings(kept), sq_norms)
 
     def _commonwords(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
-        at, _df = self._gather(self._query_terms(query)[0])
-        overlap = np.bincount(self.index.positions[at], minlength=self.index.n_docs)
-        return overlap * self._bm25(query, Variant.ATIRE)
+        postings = self._postings(query)
+        # a term lists a document at most once: this counts distinct query terms
+        overlap = np.bincount(postings[2], minlength=self.index.n_docs)
+        return overlap * self._bm25(postings, Variant.ATIRE)
 
     def _embed(self, _query, query_id: str | None, _query_text) -> np.ndarray:
         if query_id is None:
@@ -481,12 +478,12 @@ _Scorer = Callable[[Searcher, TokenStream, "str | None", "str | None"], np.ndarr
 
 
 def _bm25_scorer(variant: Variant) -> _Scorer:
-    return lambda searcher, query, _query_id, _query_text: searcher._bm25(query, variant)
+    return lambda searcher, query, _qid, _text: searcher._bm25(searcher._postings(query), variant)
 
 
 # The one table of scorers: names, CLI choices and dispatch all read it.
 _SCORERS: dict[str, _Scorer] = {
-    "tfidf_cos": lambda searcher, query, _query_id, _query_text: searcher._tfidf(query),
+    "tfidf_cos": lambda searcher, query, _qid, _text: searcher._tfidf(searcher._postings(query)),
     "bm25": _bm25_scorer(Variant.ATIRE),
     "bm25_okapi": _bm25_scorer(Variant.OKAPI),
     "bm25l": _bm25_scorer(Variant.BM25L),

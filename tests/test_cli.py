@@ -240,6 +240,19 @@ class TestCompareCommand:
         assert rows == sorted(rows, key=lambda r: (-r[1], r[0]))
         assert "rank bucket" in out
 
+    def test_pipeline_flags_match_a_full_preset_index(self, paths, capsys):
+        assert main(["index", "--preset", "full", "--corpus", paths["corpus"],
+                     "--out", paths["index"]]) == 0
+        capsys.readouterr()
+        code = main([
+            "compare", "--index", paths["index"], "--queries", paths["queries"],
+            "--qrels", paths["qrels"], "--preset", "full",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{'method':<20}{'P@10':>10}")
+        assert "rank bucket" in out
+
     def test_unknown_scorer_listed(self, paths, capsys):
         build_synthetic_index(paths)
         code = main([

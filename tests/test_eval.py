@@ -1,7 +1,10 @@
 """Evaluation metrics, aggregation rules, and interchange file IO."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,8 @@ from priorcase.evaluation import (
     reciprocal_rank,
     write_run,
 )
+
+from conftest import REPO_ROOT
 
 
 class TestPrecision:
@@ -241,3 +246,14 @@ def test_format_report_contains_machine_lines(synthetic_dir):
     assert "P@1\tall\t1.000000" in text
     assert "MRR\tall\t1.000000" in text
     assert "P@1\tq1\t1.000000" in text
+
+
+def test_fixture_script_reproduces_the_committed_fixture():
+    # run as its docstring says, from the repository root with no PYTHONPATH,
+    # but print the text instead of writing it under data/
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = ("import runpy, sys; script = runpy.run_path('scripts/make_fixture_expectations.py'); "
+            "sys.stdout.write(script['expected_metrics_json']())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                          capture_output=True, check=True)
+    assert proc.stdout == (REPO_ROOT / "data" / "synthetic" / "expected_metrics.json").read_bytes()
