@@ -236,6 +236,8 @@ def cmd_compare(settings: dict) -> int:
     queries_path = _existing_path(_require(settings, "queries", "--queries"), "queries file")
     qrels_path = _existing_path(_require(settings, "qrels", "--qrels"), "qrels file")
     scorers = [s.strip() for s in str(settings.get("scorers") or DEFAULT_COMPARE_SCORERS).split(",") if s.strip()]
+    if not scorers:
+        raise ValueError("no scorers given: --scorers needs at least one name")
     unknown = [s for s in scorers if s not in SCORER_NAMES]
     if unknown:
         raise ValueError(f"unknown scorers: {', '.join(unknown)}")
@@ -296,7 +298,7 @@ def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queries", metavar="FILE", help="query_id<TAB>query_text lines")
     parser.add_argument("--top", dest="top_n", type=int, metavar="N",
                         help=f"results per query (default {DEFAULT_TOP_N})")
-    parser.add_argument("--corpus", metavar="DIR", help="raw corpus (rake_tfidf only)")
+    parser.add_argument("--corpus", metavar="DIR", help="the indexed raw corpus (rake_tfidf only)")
     parser.add_argument("--embeddings", metavar="FILE", help="embedding sidecar (embed only)")
     parser.add_argument("--workers", type=int, help="parallel query scoring threads")
     _add_pipeline_flags(parser)

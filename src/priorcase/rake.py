@@ -13,34 +13,31 @@ import re
 from collections import defaultdict
 from typing import Iterable
 
-from .textproc import split_tokens
-
-# Characters that break a phrase: anything that is neither alphanumeric
-# nor whitespace.  Whitespace only separates words within a phrase.
-_PHRASE_BREAK_RE = re.compile(r"[^\w\s]|_", re.UNICODE)
+# Group 1 is a word: a maximal alphanumeric run, as the tokenizer keeps.  An
+# empty match (`_`, or a character neither alphanumeric nor whitespace) breaks
+# the phrase; whitespace only separates words within a phrase.
+_WORD_OR_BREAK_RE = re.compile(r"([^\W_]+)|[^\w\s]|_", re.UNICODE)
 
 
 def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...]]:
     """Phrases as word tuples, lowercased, in order of appearance."""
     stopset = stopwords if isinstance(stopwords, (set, frozenset)) else frozenset(stopwords)
     phrases: list[tuple[str, ...]] = []
-    for segment in _PHRASE_BREAK_RE.split(raw.lower()):
-        current: list[str] = []
-        for word in split_tokens(segment):
-            if word in stopset:
-                if current:
-                    phrases.append(tuple(current))
-                    current = []
-            else:
-                current.append(word)
-        if current:
+    current: list[str] = []
+    for word in _WORD_OR_BREAK_RE.findall(raw.lower()):
+        if word and word not in stopset:
+            current.append(word)
+        elif current:
             phrases.append(tuple(current))
+            current = []
+    if current:
+        phrases.append(tuple(current))
     return phrases
 
 
-def _rank_phrases(phrases: list[tuple[str, ...]]) -> list[tuple[str, float]]:
-    """Distinct candidate phrases as (phrase, score), sorted by descending
-    score with lexicographic tie-breaking."""
+def _rank_phrases(phrases: list[tuple[str, ...]]) -> list[tuple[tuple[str, ...], float]]:
+    """Distinct candidate phrases as (words, score), by descending score, ties
+    by phrase text: a space sorts before any word character, so tuples do."""
     freq: dict[str, int] = defaultdict(int)
     degree: dict[str, int] = defaultdict(int)
     for phrase in phrases:
@@ -49,20 +46,11 @@ def _rank_phrases(phrases: list[tuple[str, ...]]) -> list[tuple[str, float]]:
             degree[word] += len(phrase)
 
     word_score = {w: degree[w] / freq[w] for w in freq}
-    scored: dict[str, float] = {}
-    for phrase in phrases:
-        text = " ".join(phrase)
-        if text not in scored:
-            scored[text] = sum(word_score[w] for w in phrase)
-
+    scored = {phrase: sum(word_score[w] for w in phrase) for phrase in dict.fromkeys(phrases)}
     return sorted(scored.items(), key=lambda item: (-item[1], item[0]))
 
 
-def rake_extract(
-    raw: str,
-    stopwords: Iterable[str],
-    top_k: int,
-) -> list[tuple[str, float]]:
+def rake_extract(raw: str, stopwords: Iterable[str], top_k: int) -> list[tuple[str, float]]:
     """Top scoring keyword phrases of a single text.
 
     Returns up to `top_k` distinct phrases as (phrase, score), sorted by
@@ -71,7 +59,8 @@ def rake_extract(
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    return _rank_phrases(candidate_phrases(raw, stopwords))[:top_k]
+    ranked = _rank_phrases(candidate_phrases(raw, stopwords))[:top_k]
+    return [(" ".join(phrase), score) for phrase, score in ranked]
 
 
 def _keyword_count(phrases: list[tuple[str, ...]]) -> int:
@@ -96,4 +85,4 @@ def keyword_words(raw: str, stopwords: Iterable[str]) -> set[str]:
     """
     phrases = candidate_phrases(raw, stopwords)
     kept = _rank_phrases(phrases)[: _keyword_count(phrases)]
-    return {word for phrase, _score in kept for word in phrase.split(" ")}
+    return {word for phrase, _score in kept for word in phrase}

@@ -213,9 +213,10 @@ def build_rake_vocabulary(
 class Searcher:
     """Scores queries against a frozen index under any of the scorers.
 
-    Optional resources: `corpus_texts` (id -> raw text) is needed by
-    rake_tfidf, `embeddings` by embed.  When `config` is given, its
-    fingerprint must match the one recorded in the index.
+    Optional resources: `corpus_texts` (id -> raw text of exactly the
+    indexed documents) is needed by rake_tfidf, `embeddings` by embed.
+    When `config` is given, its fingerprint must match the one recorded
+    in the index.
 
     Every corpus statistic a scorer reads (BM25 length norms, the Okapi
     mean IDF, TF-IDF document norms, the RAKE vocabulary and its norms,
@@ -245,6 +246,10 @@ class Searcher:
         self.stopwords = stopset
         self.params = params
         self.embeddings = embeddings
+        if corpus_texts is not None and set(corpus_texts) != set(index.doc_ids):
+            stray = min(set(corpus_texts).symmetric_difference(index.doc_ids))
+            raise ValueError(f"corpus texts do not match the index: document {stray!r} "
+                             f"is in the {'texts' if stray in corpus_texts else 'index'} only")
         self.corpus_texts = corpus_texts
 
         self._df = np.diff(index.offsets)
@@ -402,13 +407,14 @@ class Searcher:
     def _scores(
         self, scorer: str, query: TokenStream, query_id: str | None, query_text: str | None
     ) -> np.ndarray:
-        """Dense scores by document position."""
+        """Dense float scores by document position."""
         fn = _SCORERS.get(scorer)
         if fn is None:
             raise ValueError(
                 f"unknown scorer {scorer!r}; expected one of {', '.join(SCORER_NAMES)}"
             )
-        return fn(self, query, query_id, query_text)
+        # np.bincount over no postings returns int64 zeros
+        return fn(self, query, query_id, query_text).astype(np.float64, copy=False)
 
     def _ranking(self, scores: np.ndarray, order: np.ndarray) -> Ranking:
         ids = self.index.doc_ids

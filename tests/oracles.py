@@ -2,15 +2,15 @@
 
 Everything here evaluates the defining formulas directly from raw token
 lists (no inverted index, no caching, no posting-list traversal), so the
-engine and these functions share no scoring code.
+engine and these functions share no scoring or keyword-extraction code.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
-from priorcase.rake import default_keyword_count, rake_extract
 from priorcase.textproc import tokenize_normalize
 
 
@@ -115,11 +115,48 @@ def naive_commonwords_bm25(docs, query, **bm25_kw) -> dict[str, float]:
     }
 
 
+def naive_rake_phrases(raw: str, stopwords) -> list[tuple[str, ...]]:
+    """RAKE candidate phrases by a two-level split of the lowercased text:
+    first into segments at `_` and every character that is neither
+    alphanumeric nor whitespace, then each segment into alphanumeric runs,
+    with a new phrase after every stopword."""
+    phrases = []
+    for segment in re.split(r"[^\w\s]|_", raw.lower()):
+        current = []
+        for word in re.findall(r"[^\W_]+", segment):
+            if word in stopwords:
+                if current:
+                    phrases.append(tuple(current))
+                current = []
+            else:
+                current.append(word)
+        if current:
+            phrases.append(tuple(current))
+    return phrases
+
+
+def naive_rake_keywords(raw: str, stopwords) -> list[tuple[str, float]]:
+    """A text's default RAKE keywords: the top max(10, ceil(distinct / 3))
+    distinct phrases by descending score, ties by phrase text.  A word
+    scores deg/freq over all candidate phrases; a phrase scores the sum of
+    its word scores, taken in phrase order."""
+    phrases = naive_rake_phrases(raw, stopwords)
+    freq, degree = Counter(), Counter()
+    for phrase in phrases:
+        for word in phrase:
+            freq[word] += 1
+            degree[word] += len(phrase)
+    scores = {}
+    for phrase in phrases:
+        scores[" ".join(phrase)] = sum(degree[w] / freq[w] for w in phrase)
+    keep = max(10, math.ceil(len(freq) / 3))
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:keep]
+
+
 def naive_rake_vocab(raw_texts, config, stopwords) -> set[str]:
     vocab = set()
     for raw in raw_texts:
-        kept = rake_extract(raw, stopwords, default_keyword_count(raw, stopwords))
-        for phrase, _score in kept:
+        for phrase, _score in naive_rake_keywords(raw, stopwords):
             vocab.update(tokenize_normalize(phrase, config, stopwords))
     return vocab
 

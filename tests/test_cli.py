@@ -163,6 +163,21 @@ class TestSearchCommand:
         assert code == 0
         assert len(load_run(paths["run"])) == 5
 
+    def test_rake_scorer_rejects_a_corpus_other_than_the_indexed_one(self, paths, capsys):
+        build_synthetic_index(paths)
+        other = paths["tmp"] / "other"
+        other.mkdir()
+        (other / "case01.txt").write_text("contract breach damages", encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "search", "--index", paths["index"], "--queries", paths["queries"],
+            "--scorer", "rake_tfidf", "--out", paths["run"], "--corpus", str(other),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: corpus texts do not match the index") and err.count("\n") == 1
+        assert not Path(paths["run"]).exists()
+
     def test_embed_scorer_with_sidecar(self, paths):
         build_synthetic_index(paths)
         code = main([
@@ -261,6 +276,25 @@ class TestCompareCommand:
         ])
         assert code != 0
         assert "wizardry" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_empty_scorer_list_is_a_one_line_error(self, paths, capsys, from_config):
+        build_synthetic_index(paths)
+        args = ["compare", "--index", paths["index"], "--queries", paths["queries"],
+                "--qrels", paths["qrels"]]
+        if from_config:
+            config = paths["tmp"] / "compare.conf"
+            config.write_text("scorers = ,\n", encoding="utf-8")
+            args = ["--config", str(config)] + args
+        else:
+            args += ["--scorers", ","]
+        capsys.readouterr()
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: no scorers") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestConfigFile:

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from priorcase.rake import candidate_phrases, default_keyword_count, rake_extract
+from priorcase.rake import candidate_phrases, default_keyword_count, keyword_words, rake_extract
 
 from conftest import make_random_corpus
+from oracles import naive_rake_keywords, naive_rake_phrases
 
 
 class TestScoring:
@@ -81,3 +83,27 @@ class TestProperties:
                 for phrase in candidate_phrases(raw, stops):
                     assert phrase  # no empty phrases
                     assert all(w not in stops for w in phrase)
+
+
+# Texts of words, each followed by up to two separator characters, so
+# words also merge with their neighbours.  "\u0130".lower() is "i" plus a
+# combining dot, which is neither alphanumeric nor whitespace and so
+# breaks the phrase.
+_WORDS = ["the", "of", "and", "lease", "Court", "tax", "a1", "7", "42",
+          "\u00e9", "\u00df", "\u00b2", "\u216b", "\u0130"]
+_SEPARATORS = (" _\t\n\u00a0\u200b\u2014\u201c\u201d"
+               + "!\"#$%&'()*+,-./:;<=>?@[\\]^`{|}~")
+_STOPS = frozenset({"the", "of", "and"})
+_TEXTS = st.lists(
+    st.tuples(st.sampled_from(_WORDS), st.text(_SEPARATORS, max_size=2)), max_size=30
+).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_TEXTS, st.text()))
+    def test_equals_two_level_split_reference(self, raw):
+        want = naive_rake_keywords(raw, _STOPS)
+        assert candidate_phrases(raw, _STOPS) == naive_rake_phrases(raw, _STOPS)
+        assert rake_extract(raw, _STOPS, default_keyword_count(raw, _STOPS)) == want
+        assert keyword_words(raw, _STOPS) == {w for phrase, _s in want for w in phrase.split(" ")}

@@ -218,6 +218,19 @@ class TestScoreQuery:
         with pytest.raises(ValueError, match="unknown scorer"):
             Searcher(small_index).score("pagerank", ["a"])
 
+    @pytest.mark.parametrize("scorer", SCORER_NAMES)
+    def test_scores_are_floats_without_matching_terms(self, scorer):
+        raw = {"d1": "contract breach", "d2": "lease tenant"}
+        idx = build_index([(d, tokenize_normalize(t)) for d, t in raw.items()],
+                          pipeline_fingerprint(PRESET_STANDARD))
+        store = make_random_store(random.Random(0), list(raw), ["q1", "q2"])
+        searcher = Searcher(idx, config=PRESET_STANDARD, embeddings=store, corpus_texts=raw)
+        queries = [("q1", "zzz"), ("q2", "")]
+        rankings = [searcher.score(scorer, tokenize_normalize(text), qid, text)
+                    for qid, text in queries]
+        rankings += searcher.search_all(queries, scorer).values()
+        assert all(type(s) is float for ranking in rankings for _d, s in ranking)
+
     def test_embed_needs_store(self, small_index):
         with pytest.raises(ValueError, match="embedding store"):
             Searcher(small_index).score("embed", ["a"], query_id="q1")
@@ -230,6 +243,12 @@ class TestScoreQuery:
     def test_rake_needs_corpus_texts(self, small_index):
         with pytest.raises(ValueError, match="corpus texts"):
             Searcher(small_index, config=None).score("rake_tfidf", ["a"], query_text="a b")
+
+    def test_corpus_texts_must_be_the_indexed_documents(self, small_index):
+        with pytest.raises(ValueError, match="'d3' is in the texts only"):
+            Searcher(small_index, corpus_texts={"d1": "a", "d2": "b", "d3": "c"})
+        with pytest.raises(ValueError, match="'d2' is in the index only"):
+            Searcher(small_index, corpus_texts={"d1": "a"})
 
     def test_pipeline_mismatch_rejected(self):
         fp = pipeline_fingerprint(PRESET_STANDARD)
