@@ -13,6 +13,7 @@ File formats follow the usual retrieval-interchange layouts:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -184,6 +185,8 @@ def load_run(path: str | Path) -> Run:
             continue
         try:
             entry = (int(parts[3]), parts[2], float(parts[4]))
+            if not math.isfinite(entry[2]):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed rank or score") from None
         rows.setdefault(parts[0], []).append(entry)

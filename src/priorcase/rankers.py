@@ -299,7 +299,8 @@ class Searcher:
         else:
             _counts, df, pos, tf = self._postings(terms)
         w = tf * np.repeat(self._idf_by_df[Variant.ATIRE][df], df)
-        return np.bincount(pos, weights=w * w, minlength=idx.n_docs)
+        w *= w
+        return np.bincount(pos, weights=w, minlength=idx.n_docs)
 
     def _stack_chunks(self) -> None:
         """Stack every document's chunk vectors, in position order, for `embed`.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import string
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,31 @@ def make_random_corpus(
         text = "".join(p + rng.choice(SEPARATORS) for p in pieces)
         docs[f"d{i:02d}"] = text
     return docs
+
+
+def make_postings_corpus(n_docs: int = 300, doc_len: int = 2000) -> list[tuple[str, list[str]]]:
+    """Seeded pre-tokenized corpus drawn from a Zipf-like 1,500-word vocabulary.
+
+    At the defaults each document has about 750 distinct terms, so the
+    index holds about 225,000 postings.
+    """
+    np_rng = np.random.default_rng(17)
+    vocab = [f"w{i:04d}" for i in range(1500)]
+    weights = 1.0 / (np.arange(1500) + 10.0)
+    weights /= weights.sum()
+    return [(f"doc{i:04d}", [vocab[j] for j in np_rng.choice(1500, size=doc_len, p=weights)])
+            for i in range(n_docs)]
+
+
+def traced_peak(fn):
+    """`fn()` and the peak bytes tracemalloc saw allocated while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_random_query(rng: random.Random, raw_docs: dict[str, str]) -> str:

@@ -224,6 +224,15 @@ class TestEvalCommand:
         assert code != 0
         assert "q99" in capsys.readouterr().err
 
+    def test_score_that_is_not_finite_is_one_error_line(self, paths, capsys):
+        run_path = paths["tmp"] / "nan.run"
+        run_path.write_text("q1 Q0 case01 1 nan tag\n", encoding="utf-8")
+        code = main(["eval", "--run", str(run_path), "--qrels", paths["qrels"]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {run_path}:1: malformed rank or score\n"
+
     def test_custom_cutoffs(self, paths, capsys):
         build_synthetic_index(paths)
         main(["search", "--index", paths["index"], "--queries", paths["queries"],

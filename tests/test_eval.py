@@ -205,6 +205,13 @@ class TestInterchangeFiles:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: malformed rank or score$"):
                 load_run(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_run_rejects_a_score_that_is_not_finite(self, tmp_path, score):
+        path = tmp_path / "bad.run"
+        path.write_text(f"q1 Q0 a 1 1.0 t\nq1 Q0 b 2 {score} t\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed rank or score$"):
+            load_run(path)
+
     def test_run_lines_out_of_order_are_sorted_by_rank(self, tmp_path):
         path = tmp_path / "shuffled.run"
         path.write_text(

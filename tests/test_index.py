@@ -25,7 +25,7 @@ from priorcase.index import (
 )
 from priorcase.textproc import PRESET_STANDARD, pipeline_fingerprint, tokenize_normalize
 
-from conftest import make_random_corpus
+from conftest import make_postings_corpus, make_random_corpus, traced_peak
 
 
 @pytest.fixture
@@ -106,6 +106,16 @@ class TestBuild:
         assert "b" in idx.postings and "zzz" not in idx.postings
         assert idx.postings.get("zzz") is None
         assert len(idx.postings) == 3
+
+    def test_wide_sort_key_gives_the_same_index(self, monkeypatch):
+        docs = make_random_corpus(random.Random(11))
+        tokenized = sorted((d, tokenize_normalize(t, PRESET_STANDARD)) for d, t in docs.items())
+        narrow = build_index(tokenized, "fp")
+        # a limit below n_terms * n_docs forces the int64 sort key
+        monkeypatch.setattr(index_module, "_INT32_MAX", 0)
+        wide = build_index(tokenized, "fp")
+        assert wide == narrow
+        assert (wide.positions.dtype, wide.tfs.dtype) == (np.int32, np.int32)
 
     def test_equality_compares_doc_ids(self):
         a = build_index([("d1", ["x"]), ("d2", ["y"])], "fp")
@@ -330,6 +340,64 @@ class TestLoaderStructure:
             assert length == sum(
                 tf for plist in loaded.postings.values() for d, tf in plist if d == doc_id)
         assert loaded.avg_len > 0
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "é", "日本"]) | st.text(min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(_TOKENS, max_size=12), min_size=1, max_size=8).filter(any))
+def test_postings_layout_and_repersist(tmp_path_factory, token_lists):
+    built = build_index([(f"d{i}", tokens) for i, tokens in enumerate(token_lists)], "fp")
+    path = tmp_path_factory.mktemp("layout") / "index.idx"
+    persist_index(built, path)
+    loaded = load_index(path)
+    for index in (built, loaded):
+        for array in (index.positions, index.tfs):
+            # a strided view into the file's (position, tf) pairs would slow every gather
+            assert array.dtype == np.int32
+            assert array.flags.c_contiguous and array.flags.owndata
+            assert not array.flags.writeable
+    again = path.with_name("again.idx")
+    persist_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+class TestPeakMemory:
+    """Traced peak of each whole-index stage on a seeded index of about
+    220,000 postings, against the 8 bytes per posting of its postings
+    (a u32 position and a u32 tf in the file, int32 pairs in memory).
+
+    Each stage holds about one posting-sized buffer beyond its output;
+    int64 temporaries, a byte copy of the postings or a copy of the file
+    bytes push it past these bounds.
+    """
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return make_postings_corpus()
+
+    @pytest.fixture(scope="class")
+    def index(self, docs):
+        index = build_index(docs, "fp")
+        assert len(index.positions) >= 200_000
+        return index
+
+    def test_build_index(self, docs, index):
+        built, peak = traced_peak(lambda: build_index(docs, "fp"))
+        assert built == index
+        assert peak <= 4.5 * 8 * len(index.positions)  # measured 3.1x
+
+    def test_persist_index(self, index, tmp_path):
+        _none, peak = traced_peak(lambda: persist_index(index, tmp_path / "index.idx"))
+        assert peak <= 2.6 * 8 * len(index.positions)  # measured 2.2x
+
+    def test_load_index(self, index, tmp_path):
+        path = tmp_path / "index.idx"
+        persist_index(index, path)
+        loaded, peak = traced_peak(lambda: load_index(path))
+        assert loaded == index
+        assert peak <= 4 * path.stat().st_size  # measured 3.2x
 
 
 class _FullDisk:

@@ -37,8 +37,10 @@ from conftest import (
     STOP_SAMPLE,
     make_random_corpus,
     make_random_query,
+    make_postings_corpus,
     make_random_store,
     random_config,
+    traced_peak,
 )
 from oracles import naive_bm25, naive_rake_vocab, naive_rank
 
@@ -727,3 +729,12 @@ class TestRakeVocabulary:
             got = build_rake_vocabulary(items, config, ENGLISH_STOPWORDS)
             want = naive_rake_vocab([t for _d, t in items], config, ENGLISH_STOPWORDS)
             assert got == want
+
+
+def test_searcher_peak_memory():
+    """`Searcher(index)` holds one float64 weight per posting and numpy's
+    intp copy of the positions while it sums the TF-IDF document norms,
+    and nothing else of posting size."""
+    index = build_index(make_postings_corpus(), "fp")
+    _searcher, peak = traced_peak(lambda: Searcher(index))
+    assert peak <= 2.5 * 8 * len(index.positions)  # measured 2.0x
