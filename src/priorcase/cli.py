@@ -298,8 +298,8 @@ def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queries", metavar="FILE", help="query_id<TAB>query_text lines")
     parser.add_argument("--top", dest="top_n", type=int, metavar="N",
                         help=f"results per query (default {DEFAULT_TOP_N})")
-    parser.add_argument("--corpus", metavar="DIR", help="the indexed raw corpus (rake_tfidf only; only its document "
-                        "ids are checked against the index, not its text)")
+    parser.add_argument("--corpus", metavar="DIR", help="the indexed raw corpus (rake_tfidf "
+                        "only; its ids are checked against the index, its text is not)")
     parser.add_argument("--embeddings", metavar="FILE", help="embedding sidecar (embed only)")
     parser.add_argument("--workers", type=int, help="parallel query scoring threads")
     _add_pipeline_flags(parser)

@@ -390,7 +390,7 @@ class TestPeakMemory:
 
     def test_persist_index(self, index, tmp_path):
         _none, peak = traced_peak(lambda: persist_index(index, tmp_path / "index.idx"))
-        assert peak <= 2.6 * 8 * len(index.positions)  # measured 2.2x
+        assert peak <= 2 * 8 * len(index.positions)  # measured 1.7x
 
     def test_load_index(self, index, tmp_path):
         path = tmp_path / "index.idx"
