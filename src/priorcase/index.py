@@ -202,7 +202,7 @@ def build_index(
     positions %= n_docs
     return CorpusIndex(
         terms=terms,
-        offsets=offsets.astype(np.int64, copy=False),
+        offsets=offsets,
         positions=positions.astype(np.int32, copy=False),
         tfs=np.concatenate(tf_chunks)[by_term_then_doc],
         doc_ids=doc_ids,

@@ -390,7 +390,8 @@ class TestPeakMemory:
 
     def test_persist_index(self, index, tmp_path):
         _none, peak = traced_peak(lambda: persist_index(index, tmp_path / "index.idx"))
-        assert peak <= 2 * 8 * len(index.positions)  # measured 1.7x
+        # the pairs plus file bytes moved out about 1 MB at a time; measured P + 1.2 MB
+        assert peak <= 8 * len(index.positions) + 2_500_000
 
     def test_load_index(self, index, tmp_path):
         path = tmp_path / "index.idx"

@@ -35,9 +35,9 @@ from priorcase.textproc import (
 from conftest import (
     CONTENT_WORDS,
     STOP_SAMPLE,
+    make_postings_corpus,
     make_random_corpus,
     make_random_query,
-    make_postings_corpus,
     make_random_store,
     random_config,
     traced_peak,
