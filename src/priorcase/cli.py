@@ -46,7 +46,7 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a `key = value` configuration file ('#' starts a comment)."""
     settings: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
             if not line:

@@ -45,7 +45,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Parse an embedding sidecar file into a store."""
     rows: dict[str, dict[int, np.ndarray]] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -147,7 +147,7 @@ def load_qrels(path: str | Path) -> Qrels:
     set, which `evaluate_run` reports as skipped.
     """
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -173,7 +173,7 @@ def load_run(path: str | Path) -> Run:
     document is listed twice for the same query.
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         # text mode turns every line ending into "\n", so these are its lines
         lines = fh.read().split("\n")
     for lineno, parts in enumerate(map(str.split, lines), start=1):

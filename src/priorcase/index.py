@@ -431,7 +431,7 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
 def read_queries_file(path: str | Path) -> list[tuple[str, str]]:
     """Read a two-column `query_id<TAB>query_text` file."""
     queries = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain
 from typing import Iterable
+
+from .textproc import _findall_words
 
 # Group 1 is a word: a maximal alphanumeric run, as the tokenizer keeps.  An
 # empty match (`_`, or a character neither alphanumeric nor whitespace) breaks
@@ -24,7 +27,7 @@ def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...
     stopset = stopwords if isinstance(stopwords, (set, frozenset)) else frozenset(stopwords)
     phrases: list[tuple[str, ...]] = []
     current: list[str] = []
-    for word in _WORD_OR_BREAK_RE.findall(raw.lower()):
+    for word in _findall_words(_WORD_OR_BREAK_RE, raw.lower()):
         if word and word not in stopset:
             current.append(word)
         elif current:
@@ -35,19 +38,16 @@ def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...
     return phrases
 
 
-def _rank_phrases(phrases: list[tuple[str, ...]]) -> list[tuple[tuple[str, ...], float]]:
-    """Distinct candidate phrases as (words, score), by descending score, ties
-    by phrase text: a space sorts before any word character, so tuples do."""
-    freq: dict[str, int] = defaultdict(int)
+def _phrase_scores(phrases: list[tuple[str, ...]]) -> dict[tuple[str, ...], float]:
+    """Each distinct candidate phrase's score, in order of first appearance:
+    the sum of its word scores deg/freq, added in phrase order."""
+    freq = Counter(chain.from_iterable(phrases))
     degree: dict[str, int] = defaultdict(int)
     for phrase in phrases:
         for word in phrase:
-            freq[word] += 1
             degree[word] += len(phrase)
-
-    word_score = {w: degree[w] / freq[w] for w in freq}
-    scored = {phrase: sum(word_score[w] for w in phrase) for phrase in dict.fromkeys(phrases)}
-    return sorted(scored.items(), key=lambda item: (-item[1], item[0]))
+    word_score = {w: degree[w] / freq[w] for w in freq}.__getitem__
+    return {phrase: sum(map(word_score, phrase)) for phrase in dict.fromkeys(phrases)}
 
 
 def rake_extract(raw: str, stopwords: Iterable[str], top_k: int) -> list[tuple[str, float]]:
@@ -59,12 +59,14 @@ def rake_extract(raw: str, stopwords: Iterable[str], top_k: int) -> list[tuple[s
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    ranked = _rank_phrases(candidate_phrases(raw, stopwords))[:top_k]
+    scored = _phrase_scores(candidate_phrases(raw, stopwords))
+    # a space sorts before any word character: tuples sort as phrase texts
+    ranked = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:top_k]
     return [(" ".join(phrase), score) for phrase, score in ranked]
 
 
-def _keyword_count(phrases: list[tuple[str, ...]]) -> int:
-    return max(10, math.ceil(len({w for phrase in phrases for w in phrase}) / 3))
+def _keyword_count(distinct: int) -> int:
+    return max(10, math.ceil(distinct / 3))
 
 
 def default_keyword_count(raw: str, stopwords: Iterable[str]) -> int:
@@ -73,16 +75,22 @@ def default_keyword_count(raw: str, stopwords: Iterable[str]) -> int:
     `distinct` is the number of distinct words over all candidate
     phrases, i.e. the vertex count of the co-occurrence graph.
     """
-    return _keyword_count(candidate_phrases(raw, stopwords))
+    return _keyword_count(len(set(chain.from_iterable(candidate_phrases(raw, stopwords)))))
 
 
 def keyword_words(raw: str, stopwords: Iterable[str]) -> set[str]:
     """Distinct words of a text's default keyword phrases.
 
     The phrases are those `rake_extract(raw, stopwords,
-    default_keyword_count(raw, stopwords))` returns, found with a single
-    pass over the candidate phrases.
+    default_keyword_count(raw, stopwords))` returns, found without a full
+    sort: those above the K-th largest score, then ties at it by text.
     """
-    phrases = candidate_phrases(raw, stopwords)
-    kept = _rank_phrases(phrases)[: _keyword_count(phrases)]
-    return {word for phrase, _score in kept for word in phrase}
+    scored = _phrase_scores(candidate_phrases(raw, stopwords))
+    words = set(chain.from_iterable(scored))
+    keep = _keyword_count(len(words))
+    if len(scored) <= keep:
+        return words
+    cut = sorted(scored.values(), reverse=True)[keep - 1]
+    kept = [phrase for phrase, score in scored.items() if score > cut]
+    kept += sorted(phrase for phrase, score in scored.items() if score == cut)[: keep - len(kept)]
+    return set(chain.from_iterable(kept))

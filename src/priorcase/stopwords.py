@@ -45,7 +45,7 @@ def load_stopword_file(path: str | Path) -> frozenset[str]:
     Blank lines and lines beginning with '#' are ignored.
     """
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             word = line.strip()
             if not word or word.startswith("#"):

@@ -60,9 +60,23 @@ PRESETS: dict[str, PipelineConfig] = {
 }
 
 
+def _findall_words(pattern: re.Pattern, raw: str) -> list[str]:
+    """`pattern.findall(raw)` for a pattern that matches no whitespace and
+    finds an alphanumeric chunk whole: `[^\\W_]` is `str.isalnum` and `\\s`
+    is what `str.split()` splits on, so only other chunks need the regex."""
+    words: list[str] = []
+    for chunk in raw.split():
+        if chunk.isalnum():
+            words.append(chunk)
+        else:
+            words += pattern.findall(chunk)
+    return words
+
+
 def split_tokens(raw: str) -> TokenStream:
-    """Split text into maximal alphanumeric runs, preserving order."""
-    return _TOKEN_RE.findall(raw)
+    """Words of a text, in order: maximal runs of `str.isalnum()` characters,
+    found by one whitespace split and the regex on non-alphanumeric chunks."""
+    return _findall_words(_TOKEN_RE, raw)
 
 
 def tokenize_corpus(
@@ -71,6 +85,9 @@ def tokenize_corpus(
     stopwords: Iterable[str] = ENGLISH_STOPWORDS,
 ) -> list[TokenStream]:
     """Run the full pipeline over every text; one token stream per text.
+
+    Each text's tokens are lowercased, de-noised and stopped in one pass
+    after the split: lowercasing U+0130 before it would add a split point.
 
     Porter stemming is a pure function of the word, so each distinct
     token is stemmed once per call through a memo that lives only for
@@ -84,16 +101,14 @@ def tokenize_corpus(
             raise ValueError("stopword removal enabled but the stopword list is empty")
     stems: dict[str, str] = {}
     streams = []
+    min_len = config.min_token_len
     for raw in texts:
         tokens = split_tokens(raw)
         if config.lowercase:
-            tokens = [t.lower() for t in tokens]
+            tokens = map(str.lower, tokens)
         if config.remove_noise:
-            tokens = [
-                t for t in tokens
-                if len(t) >= config.min_token_len and not t.isdigit()
-            ]
-        if config.remove_stopwords:
+            tokens = [t for t in tokens if len(t) >= min_len and not t.isdigit() and t not in stopset]
+        else:
             tokens = [t for t in tokens if t not in stopset]
         if config.stem:
             stems.update((t, porter_stem(t)) for t in set(tokens).difference(stems))

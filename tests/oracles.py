@@ -2,7 +2,9 @@
 
 Everything here evaluates the defining formulas directly from raw token
 lists (no inverted index, no caching, no posting-list traversal), so the
-engine and these functions share no scoring or keyword-extraction code.
+engine and these functions share no scoring, keyword-extraction or
+tokenizing code.  The one engine function used here is `porter_stem`,
+which `tests/test_porter.py` pins on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import re
 from collections import Counter
 
-from priorcase.textproc import tokenize_normalize
+from priorcase.porter import porter_stem
 
 
 def corpus_stats(docs: dict[str, list[str]]):
@@ -115,6 +117,28 @@ def naive_commonwords_bm25(docs, query, **bm25_kw) -> dict[str, float]:
     }
 
 
+def naive_split_tokens(raw: str) -> list[str]:
+    """Words of a text: its maximal runs of alphanumeric characters, found
+    by one regex scan of the whole text."""
+    return re.findall(r"[^\W_]+", raw)
+
+
+def naive_tokenize(raw: str, config, stopwords) -> list[str]:
+    """The normalization pipeline stage by stage, one list pass each:
+    split, lowercase, drop noise (all-digit or shorter than
+    `min_token_len`), drop stopwords, stem."""
+    tokens = naive_split_tokens(raw)
+    if config.lowercase:
+        tokens = [t.lower() for t in tokens]
+    if config.remove_noise:
+        tokens = [t for t in tokens if len(t) >= config.min_token_len and not t.isdigit()]
+    if config.remove_stopwords:
+        tokens = [t for t in tokens if t not in stopwords]
+    if config.stem:
+        tokens = [porter_stem(t) for t in tokens]
+    return tokens
+
+
 def naive_rake_phrases(raw: str, stopwords) -> list[tuple[str, ...]]:
     """RAKE candidate phrases by a two-level split of the lowercased text:
     first into segments at `_` and every character that is neither
@@ -157,7 +181,7 @@ def naive_rake_vocab(raw_texts, config, stopwords) -> set[str]:
     vocab = set()
     for raw in raw_texts:
         for phrase, _score in naive_rake_keywords(raw, stopwords):
-            vocab.update(tokenize_normalize(phrase, config, stopwords))
+            vocab.update(naive_tokenize(phrase, config, stopwords))
     return vocab
 
 

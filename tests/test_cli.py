@@ -216,6 +216,18 @@ class TestEvalCommand:
         assert f"MRR\tall\t{expected['mean']['mrr']:.6f}" in out
         assert "skipped" in out and "q5" in out
 
+    def test_byte_order_mark_in_queries_file(self, paths, capsys):
+        # the first query id must read "q1", not "\ufeffq1", or eval finds
+        # no judgments for it
+        build_synthetic_index(paths)
+        queries = paths["tmp"] / "bom.tsv"
+        queries.write_bytes(b"\xef\xbb\xbf" + Path(paths["queries"]).read_bytes())
+        assert main(["search", "--index", paths["index"], "--queries", str(queries),
+                     "--scorer", "bm25", "--out", paths["run"]]) == 0
+        assert sorted(load_run(paths["run"])) == ["q1", "q2", "q3", "q4", "q5"]
+        capsys.readouterr()
+        assert main(["eval", "--run", paths["run"], "--qrels", paths["qrels"]]) == 0
+
     def test_unknown_query_in_run(self, paths, capsys):
         build_synthetic_index(paths)
         run_path = paths["tmp"] / "mystery.run"
@@ -337,6 +349,11 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 1\n# note\nbeta = two words # trailing\n", encoding="utf-8")
         assert load_config_file(cfg) == {"alpha": "1", "beta": "two words"}
+
+    def test_config_drops_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfalpha = 1\n")
+        assert load_config_file(cfg) == {"alpha": "1"}
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         cfg = tmp_path / "c.cfg"

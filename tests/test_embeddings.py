@@ -64,6 +64,13 @@ class TestSidecar:
         store = load_embeddings(synthetic_dir / "embeddings.tsv")
         np.testing.assert_allclose(store.query_vector("q1"), [1.0, 0.0, 0.0, 0.1])
 
+    def test_sidecar_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(b"\xef\xbb\xbfa\t0\t1 2\nb\t0\t3 4\n")
+        store = load_embeddings(path)
+        assert "a" in store
+        np.testing.assert_array_equal(store.query_vector("a"), [1.0, 2.0])
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("a\t0\t1 2 3\nb\t0\t1 2\n", encoding="utf-8")

@@ -155,6 +155,11 @@ class TestInterchangeFiles:
         assert qrels["q1"] == {"case01", "case03", "case06"}
         assert qrels["q5"] == set()  # judged, but nothing relevant
 
+    def test_qrels_drop_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_bytes(b"\xef\xbb\xbfq1 0 d1 1\nq2 0 d2 0\n")
+        assert load_qrels(path) == {"q1": {"d1"}, "q2": set()}
+
     def test_qrels_malformed_line(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1\n", encoding="utf-8")
@@ -178,6 +183,11 @@ class TestInterchangeFiles:
         assert lines[0] == "q1 Q0 c 1 1.250000 bm25"
         loaded = load_run(path)
         assert loaded["q2"] == [("a", 0.75), ("b", 0.5)]
+
+    def test_run_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.run"
+        path.write_bytes(b"\xef\xbb\xbfq1 Q0 a 1 1.0 t\nq1 Q0 b 2 0.5 t\n")
+        assert load_run(path) == {"q1": [("a", 1.0), ("b", 0.5)]}
 
     def test_run_rejects_gap_in_ranks(self, tmp_path):
         path = tmp_path / "bad.run"

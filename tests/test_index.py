@@ -463,6 +463,11 @@ class TestIngestion:
         assert queries[0] == ("q1", "contract breach damages")
         assert len(queries) == 5
 
+    def test_read_queries_file_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_bytes(b"\xef\xbb\xbfq1\tcontract breach\nq2\tlease\n")
+        assert read_queries_file(path) == [("q1", "contract breach"), ("q2", "lease")]
+
     def test_read_queries_rejects_missing_tab(self, tmp_path):
         path = tmp_path / "queries.tsv"
         path.write_text("q1 no tab here\n", encoding="utf-8")

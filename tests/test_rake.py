@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from priorcase.rake import candidate_phrases, default_keyword_count, keyword_words, rake_extract
+from priorcase.rankers import build_rake_vocabulary
+from priorcase.textproc import PRESET_STANDARD
 
 from conftest import make_random_corpus
-from oracles import naive_rake_keywords, naive_rake_phrases
+from oracles import naive_rake_keywords, naive_rake_phrases, naive_rake_vocab
 
 
 class TestScoring:
@@ -99,11 +101,47 @@ _TEXTS = st.lists(
 ).map(lambda pairs: "".join(w + sep for w, sep in pairs))
 
 
+# Long texts draw from a wider pool, so most have more distinct phrases than
+# the max(10, ceil(distinct / 3)) that keyword_words keeps.
+_LONG_TEXTS = st.lists(
+    st.tuples(st.sampled_from(_WORDS + [f"w{i}" for i in range(40)]),
+              st.text(_SEPARATORS, max_size=2)),
+    min_size=40, max_size=300,
+).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+def _check_against_oracle(raw):
+    want = naive_rake_keywords(raw, _STOPS)
+    assert candidate_phrases(raw, _STOPS) == naive_rake_phrases(raw, _STOPS)
+    assert rake_extract(raw, _STOPS, default_keyword_count(raw, _STOPS)) == want
+    assert keyword_words(raw, _STOPS) == {w for phrase, _s in want for w in phrase.split(" ")}
+    assert build_rake_vocabulary([("d", raw)], PRESET_STANDARD, _STOPS) == naive_rake_vocab(
+        [raw], PRESET_STANDARD, _STOPS)
+
+
 class TestAgainstOracle:
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(_TEXTS, st.text()))
     def test_equals_two_level_split_reference(self, raw):
-        want = naive_rake_keywords(raw, _STOPS)
-        assert candidate_phrases(raw, _STOPS) == naive_rake_phrases(raw, _STOPS)
-        assert rake_extract(raw, _STOPS, default_keyword_count(raw, _STOPS)) == want
-        assert keyword_words(raw, _STOPS) == {w for phrase, _s in want for w in phrase.split(" ")}
+        _check_against_oracle(raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_LONG_TEXTS)
+    def test_long_texts_past_the_keyword_cut_off(self, raw):
+        _check_against_oracle(raw)
+
+    def test_ties_at_the_cut_off_keep_the_smallest_phrases(self):
+        singles = [f"w{i:02d}" for i in range(15)]
+        random.Random(3).shuffle(singles)
+        # 15 one-word phrases, each scoring deg/freq = 1/1; K = max(10, ceil(15 / 3))
+        raw = ", ".join(singles)
+        assert default_keyword_count(raw, _STOPS) == 10
+        smallest = sorted(singles)[:10]
+        assert keyword_words(raw, _STOPS) == set(smallest)
+        assert rake_extract(raw, _STOPS, 10) == [(w, 1.0) for w in smallest]
+        _check_against_oracle(raw)
+        # one phrase above the cut-off (2 + 2) leaves room for 9 of the ties
+        raw = "alpha beta, " + raw
+        assert default_keyword_count(raw, _STOPS) == 10
+        assert keyword_words(raw, _STOPS) == {"alpha", "beta", *smallest[:9]}
+        _check_against_oracle(raw)

@@ -1,9 +1,12 @@
 """Normalization pipeline behaviour and invariants."""
 
+import itertools
+import re
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import priorcase.textproc as textproc
 from priorcase.stopwords import ENGLISH_STOPWORDS, load_stopword_file
@@ -18,6 +21,8 @@ from priorcase.textproc import (
     tokenize_normalize,
 )
 
+from oracles import naive_split_tokens, naive_tokenize
+
 # a small pool, so words repeat within and across texts; it holds digits,
 # '_', non-ASCII letters, stopwords, case variants and stemmable forms
 WORD_POOL = [
@@ -26,6 +31,11 @@ WORD_POOL = [
     "über", "Straße", "naïve", "ΔΙΚΗ", "δίκη", "café", "relational",
 ]
 SEPARATORS = [" ", "  ", ", ", ".\n", "-", "!"]
+# characters the split is easiest to get wrong on: NBSP and \x1c-\x1f are
+# whitespace to str.split() and ZWSP is not; "_" is \w but no word
+# character; U+0130 lowercases to "i" plus a combining dot; superscript two
+# and roman numeral twelve are alphanumeric, and the first is a digit
+TRICKY = " \t\n_-.,\u00a0\u200b\x1c\x1d\x1e\x1f\u0130\u00b2\u216baZ7"
 
 
 class TestPipelineStages:
@@ -148,6 +158,29 @@ class TestCorpusBatch:
         assert not calls
 
 
+class TestAgainstOracle:
+    """split_tokens and tokenize_corpus against the stage-by-stage oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(st.text(), st.text(TRICKY)), min_len=st.sampled_from([0, 1, 2, 3, 5]))
+    def test_equals_stage_by_stage_reference(self, raw, min_len):
+        assert split_tokens(raw) == naive_split_tokens(raw)
+        texts = [raw, raw.upper(), raw[::-1]]
+        stops = frozenset({"a", "az", "the", "\u0130", "i\u0307"})
+        for flags in itertools.product((False, True), repeat=4):
+            config = PipelineConfig(*flags, min_token_len=min_len)
+            assert tokenize_corpus(texts, config, stops) == [
+                naive_tokenize(t, config, stops) for t in texts
+            ]
+
+    def test_character_classes_over_every_code_point(self):
+        # the split in textproc relies on these three identities
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\W_]", chars) == list(filter(str.isalnum, chars))
+        assert re.findall(r"\s", chars) == list(filter(str.isspace, chars))
+        assert "".join(chars.split()) == "".join(itertools.filterfalse(str.isspace, chars))
+
+
 class TestStopwords:
     def test_bundled_list_size(self):
         assert len(ENGLISH_STOPWORDS) == 179
@@ -158,6 +191,11 @@ class TestStopwords:
     def test_load_stopword_file(self, tmp_path):
         path = tmp_path / "stops.txt"
         path.write_text("# comment\nalpha\n\nbeta\n", encoding="utf-8")
+        assert load_stopword_file(path) == {"alpha", "beta"}
+
+    def test_stopword_file_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_bytes(b"\xef\xbb\xbfalpha\nbeta\n")
         assert load_stopword_file(path) == {"alpha", "beta"}
 
 
