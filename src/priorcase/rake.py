@@ -38,16 +38,17 @@ def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...
     return phrases
 
 
-def _phrase_scores(phrases: list[tuple[str, ...]]) -> dict[tuple[str, ...], float]:
-    """Each distinct candidate phrase's score, in order of first appearance:
-    the sum of its word scores deg/freq, added in phrase order."""
+def _scores(phrases: list[tuple[str, ...]]) -> tuple[dict[str, float], dict[tuple[str, ...], float]]:
+    """Each word's score deg/freq, and each distinct phrase's score in order of
+    first appearance: the sum of its word scores, added in phrase order."""
     freq = Counter(chain.from_iterable(phrases))
     degree: dict[str, int] = defaultdict(int)
     for phrase in phrases:
         for word in phrase:
             degree[word] += len(phrase)
-    word_score = {w: degree[w] / freq[w] for w in freq}.__getitem__
-    return {phrase: sum(map(word_score, phrase)) for phrase in dict.fromkeys(phrases)}
+    word_score = {w: degree[w] / freq[w] for w in freq}
+    score = word_score.__getitem__
+    return word_score, {phrase: sum(map(score, phrase)) for phrase in dict.fromkeys(phrases)}
 
 
 def rake_extract(raw: str, stopwords: Iterable[str], top_k: int) -> list[tuple[str, float]]:
@@ -59,7 +60,7 @@ def rake_extract(raw: str, stopwords: Iterable[str], top_k: int) -> list[tuple[s
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    scored = _phrase_scores(candidate_phrases(raw, stopwords))
+    _word_score, scored = _scores(candidate_phrases(raw, stopwords))
     # a space sorts before any word character: tuples sort as phrase texts
     ranked = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:top_k]
     return [(" ".join(phrase), score) for phrase, score in ranked]
@@ -85,11 +86,10 @@ def keyword_words(raw: str, stopwords: Iterable[str]) -> set[str]:
     default_keyword_count(raw, stopwords))` returns, found without a full
     sort: those above the K-th largest score, then ties at it by text.
     """
-    scored = _phrase_scores(candidate_phrases(raw, stopwords))
-    words = set(chain.from_iterable(scored))
-    keep = _keyword_count(len(words))
+    word_score, scored = _scores(candidate_phrases(raw, stopwords))
+    keep = _keyword_count(len(word_score))
     if len(scored) <= keep:
-        return words
+        return set(word_score)
     cut = sorted(scored.values(), reverse=True)[keep - 1]
     kept = [phrase for phrase, score in scored.items() if score > cut]
     kept += sorted(phrase for phrase, score in scored.items() if score == cut)[: keep - len(kept)]
