@@ -55,6 +55,9 @@ import numpy as np
 MAGIC = b"PCIX"
 FORMAT_VERSION = 1
 _INT32_MAX = np.iinfo(np.int32).max
+# postings per slice where a whole-index pass would otherwise cast every posting
+# to int64 or float64: the load length check and the `Searcher` norms
+_SLICE = 1 << 14
 
 
 class IndexFormatError(ValueError):
@@ -156,6 +159,12 @@ class CorpusIndex:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _check_doc_id(doc_id: str) -> None:
+    # a lone surrogate (an undecodable byte of a file name) has no UTF-8 form to persist
+    if not doc_id or any(ch.isspace() or "\ud800" <= ch <= "\udfff" for ch in doc_id):
+        raise ValueError(f"invalid document id: {doc_id!r}")
+
+
 def build_index(
     docs: Iterable[tuple[str, list[str]]],
     fingerprint: str,
@@ -171,8 +180,7 @@ def build_index(
     term_chunks: list[np.ndarray] = []
     tf_chunks: list[np.ndarray] = []
     for doc_id, tokens in sorted(docs, key=lambda doc: doc[0]):
-        if not doc_id or doc_id != doc_id.strip() or any(ch.isspace() for ch in doc_id):
-            raise ValueError(f"invalid document id: {doc_id!r}")
+        _check_doc_id(doc_id)
         if doc_ids and doc_ids[-1] == doc_id:
             raise DuplicateDocIdError(doc_id)
         doc_ids.append(doc_id)
@@ -188,23 +196,35 @@ def build_index(
 
     terms = sorted(vocab)
     n_terms, n_docs = len(terms), len(doc_ids)
-    # key = term rank * n_docs + doc position: unique, so any argsort gives one order
+    # key = term rank * n_docs + doc position: unique, so any sort gives one order
     key_type = np.int32 if n_terms * n_docs <= _INT32_MAX else np.int64
     key_of_vocab_id = np.empty(n_terms, key_type)
     key_of_vocab_id[[vocab[t] for t in terms]] = np.arange(n_terms) * n_docs
     key = key_of_vocab_id[np.concatenate(term_chunks)]
     del term_chunks
     key += np.repeat(np.arange(n_docs, dtype=key_type), [len(chunk) for chunk in tf_chunks])
-    by_term_then_doc = np.argsort(key)
-    positions = key[by_term_then_doc]
-    del key
+    tfs = np.concatenate(tf_chunks)
+    del tf_chunks
+    if key_type is np.int32:  # sort (key << 32 | tf) in place, then unpack both halves
+        packed = key.astype(np.int64)
+        del key
+        packed <<= 32
+        packed |= tfs
+        packed.sort()
+        np.bitwise_and(packed, 0xFFFFFFFF, out=tfs, casting="unsafe")
+        positions = np.right_shift(packed, 32, out=np.empty_like(tfs), casting="unsafe")
+        del packed
+    else:
+        by_term_then_doc = np.argsort(key)
+        positions, tfs = key[by_term_then_doc], tfs[by_term_then_doc]
+        del key, by_term_then_doc
     offsets = np.searchsorted(positions, np.arange(n_terms + 1, dtype=key_type) * n_docs)
     positions %= n_docs
     return CorpusIndex(
         terms=terms,
         offsets=offsets,
         positions=positions.astype(np.int32, copy=False),
-        tfs=np.concatenate(tf_chunks)[by_term_then_doc],
+        tfs=tfs,
         doc_ids=doc_ids,
         lengths=np.array(lengths, np.int64),
         fingerprint=fingerprint,
@@ -386,7 +406,12 @@ def load_index(path: str | Path) -> CorpusIndex:
     positions, tfs = positions.astype(np.int32), tfs.astype(np.int32)
     del pairs, blob
     doc_lengths = np.array(lengths, np.int64)
-    if not np.array_equal(np.bincount(positions, weights=tfs, minlength=n_docs), doc_lengths):
+    # bincount casts to int64 and float64, so sum slice by slice; these sums are exact
+    sums = np.zeros(n_docs)
+    for lo in range(0, positions.size, _SLICE):
+        sums += np.bincount(positions[lo : lo + _SLICE], weights=tfs[lo : lo + _SLICE],
+                            minlength=n_docs)
+    if not np.array_equal(sums, doc_lengths):
         raise _corrupt("term frequencies do not sum to document lengths")
     if not doc_lengths.any():
         raise _corrupt("every document is empty")
@@ -409,8 +434,9 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     """Read a directory of UTF-8 text files as (doc_id, raw text) pairs.
 
     The document id is the filename without its extension.  Hidden files
-    are skipped.  Results are sorted by id.  Two files with the same id
-    (`a.txt`, `a.md`) raise `DuplicateDocIdError` before any file is read.
+    are skipped.  Results are sorted by id.  An id that `build_index`
+    would reject raises ValueError, and two files with the same id
+    (`a.txt`, `a.md`) raise `DuplicateDocIdError`, before any file is read.
     """
     root = Path(path)
     if not root.is_dir():
@@ -422,6 +448,8 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     )
     if not entries:
         raise ValueError(f"corpus directory contains no documents: {root}")
+    for entry in entries:
+        _check_doc_id(entry.stem)
     for prev, entry in zip(entries, entries[1:]):
         if prev.stem == entry.stem:
             raise DuplicateDocIdError(entry.stem)

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .index import CorpusIndex, PipelineMismatchError
+from .index import _SLICE, CorpusIndex, PipelineMismatchError
 from .rake import keyword_words
 from .stopwords import ENGLISH_STOPWORDS
 from .textproc import PipelineConfig, TokenStream, pipeline_fingerprint, tokenize_normalize
@@ -292,15 +292,35 @@ class Searcher:
 
     def _squared_norms(self, terms: list[str] | None) -> np.ndarray:
         """Per-document sums of squared TF-IDF weights over `terms`
-        (ascending; every term when None), added up in term order."""
+        (ascending; every term when None), added up in term order.
+
+        The postings go through in blocks of whole terms of about `_SLICE`
+        postings, so no int64 or float64 copy of every posting is made.
+        Each block's bincount starts from the running sums, so every
+        document sees the same float additions as one bincount over all.
+        """
         idx = self.index
-        if terms is None:  # every posting in order: the gather would be the identity
-            df, pos, tf = self._df, idx.positions, idx.tfs
+        if terms is None:
+            ends = idx.offsets[1:]
         else:
-            _counts, df, pos, tf = self._postings(terms)
-        w = tf * np.repeat(self._idf_by_df[Variant.ATIRE][df], df)
-        w *= w
-        return np.bincount(pos, weights=w, minlength=idx.n_docs)
+            terms = [t for t in terms if t in idx.term_ids]
+            ends = np.cumsum(self._df[[idx.term_ids[t] for t in terms]])
+        # block k: the terms whose postings end in (k * _SLICE, (k + 1) * _SLICE]
+        edges = sorted(set(np.searchsorted(
+            ends, np.arange(0, idx.positions.size + _SLICE, _SLICE), side="right").tolist()))
+        every_doc = np.arange(idx.n_docs)
+        sums = np.zeros(idx.n_docs)
+        for lo, hi in zip(edges, edges[1:]):
+            if terms is None:  # every posting in order: the gather would be a slice
+                at = slice(idx.offsets[lo], idx.offsets[hi])
+                df, pos, tf = self._df[lo:hi], idx.positions[at], idx.tfs[at]
+            else:
+                _counts, df, pos, tf = self._postings(terms[lo:hi])
+            w = tf * np.repeat(self._idf_by_df[Variant.ATIRE][df], df)
+            w *= w
+            sums = np.bincount(np.concatenate((every_doc, pos)),
+                               weights=np.concatenate((sums, w)), minlength=idx.n_docs)
+        return sums
 
     def _stack_chunks(self) -> None:
         """Stack every document's chunk vectors, in position order, for `embed`.

@@ -2,8 +2,8 @@
 
 Everything here evaluates the defining formulas directly from raw token
 lists (no inverted index, no caching, no posting-list traversal), so the
-engine and these functions share no scoring, keyword-extraction or
-tokenizing code.  The one engine function used here is `porter_stem`,
+engine and these functions share no index-building, scoring,
+keyword-extraction or tokenizing code.  The one engine function used here is `porter_stem`,
 which `tests/test_porter.py` pins on its own.
 """
 
@@ -115,6 +115,24 @@ def naive_commonwords_bm25(docs, query, **bm25_kw) -> dict[str, float]:
         d: len(set(query) & set(tokens)) * bm25[d]
         for d, tokens in docs.items()
     }
+
+
+def naive_postings(docs):
+    """CSR postings of (doc_id, tokens) pairs from one `Counter` per document:
+    (terms, offsets, positions, tfs, lengths) as lists, terms and document
+    positions ascending, as `build_index` lays them out."""
+    counts = {doc_id: Counter(tokens) for doc_id, tokens in docs}
+    doc_ids = sorted(counts)
+    terms = sorted({term for count in counts.values() for term in count})
+    offsets, positions, tfs = [0], [], []
+    for term in terms:
+        for position, doc_id in enumerate(doc_ids):
+            if term in counts[doc_id]:
+                positions.append(position)
+                tfs.append(counts[doc_id][term])
+        offsets.append(len(positions))
+    lengths = [sum(counts[doc_id].values()) for doc_id in doc_ids]
+    return terms, offsets, positions, tfs, lengths
 
 
 def naive_split_tokens(raw: str) -> list[str]:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour on the bundled synthetic corpus."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,16 @@ class TestIndexCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: duplicate document id: 'a'\n"
+        assert not Path(paths["index"]).exists()
+
+    def test_file_name_without_utf8_form_is_a_one_line_error(self, paths, capsys):
+        corpus = paths["tmp"] / "bad"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("contract breach", encoding="utf-8")
+        (corpus / os.fsdecode(b"bad\xffname.txt")).write_text("lease tenant", encoding="utf-8")
+        code = main(["index", "--corpus", str(corpus), "--out", paths["index"]])
+        assert code == 1
+        assert capsys.readouterr().err == "error: invalid document id: 'bad\\udcffname'\n"
         assert not Path(paths["index"]).exists()
 
     def test_full_preset_bytes_match_the_per_text_pipeline(self, paths):

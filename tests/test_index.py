@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import os
 import random
 import struct
 import zlib
@@ -26,6 +27,7 @@ from priorcase.index import (
 from priorcase.textproc import PRESET_STANDARD, pipeline_fingerprint, tokenize_normalize
 
 from conftest import make_postings_corpus, make_random_corpus, traced_peak
+from oracles import naive_postings
 
 
 @pytest.fixture
@@ -68,6 +70,11 @@ class TestBuild:
     def test_whitespace_id_rejected(self):
         with pytest.raises(ValueError, match="invalid document id"):
             build_index([("d 1", ["a"])], "fp")
+
+    def test_id_without_utf8_form_rejected(self):
+        # how Python names a file whose name has the undecodable byte 0xff
+        with pytest.raises(ValueError, match="invalid document id"):
+            build_index([("bad\udcffname", ["a"])], "fp")
 
     def test_invariants_on_random_corpora(self):
         rng = random.Random(3)
@@ -116,6 +123,9 @@ class TestBuild:
         wide = build_index(tokenized, "fp")
         assert wide == narrow
         assert (wide.positions.dtype, wide.tfs.dtype) == (np.int32, np.int32)
+
+    def test_tf_above_16_bits_matches_oracle(self):
+        _assert_matches_naive_postings([("big", ["x"] * 70_000 + ["y"]), ("small", ["y", "z"])])
 
     def test_equality_compares_doc_ids(self):
         a = build_index([("d1", ["x"]), ("d2", ["y"])], "fp")
@@ -194,6 +204,30 @@ class TestPersistence:
         restored = load_index(path)
         assert restored == idx
         assert restored.postings["статья"] == [("državni-akt", 2)]
+
+
+def _assert_matches_naive_postings(docs):
+    terms, offsets, positions, tfs, lengths = naive_postings(docs)
+    n_cells = len(terms) * len(docs)
+    # the packed sort runs when n_terms * n_docs fits the limit, the int64 argsort otherwise
+    for limit in (n_cells, n_cells - 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_INT32_MAX", limit)
+            index = build_index(docs, "fp")
+        assert index.terms == terms
+        assert index.offsets.tolist() == offsets
+        assert index.positions.tolist() == positions
+        assert index.tfs.tolist() == tfs
+        assert index.lengths.tolist() == lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefg") | st.text(max_size=2), max_size=15),
+                min_size=1, max_size=9).filter(any), st.randoms(use_true_random=False))
+def test_build_matches_naive_postings(token_lists, rng):
+    docs = [(f"d{i}", tokens) for i, tokens in enumerate(token_lists)]
+    rng.shuffle(docs)
+    _assert_matches_naive_postings(docs)
 
 
 def _decode(data: bytes):
@@ -316,6 +350,19 @@ class TestLoaderStructure:
         with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
+    def test_length_check_reads_the_last_partial_slice(self, decoded, tmp_path, monkeypatch):
+        fingerprint, docs, terms = decoded
+        n_postings = sum(len(plist) for _term, plist in terms)
+        monkeypatch.setattr(index_module, "_SLICE", 3)
+        assert n_postings % 3 != 0
+        path = tmp_path / "sliced.idx"
+        path.write_bytes(_encode(fingerprint, docs, terms))
+        assert load_index(path).n_docs == len(docs)
+        terms[-1][1][-1][1] += 1  # the last posting's tf
+        path.write_bytes(_encode(fingerprint, docs, terms))
+        with pytest.raises(IndexFormatError, match="do not sum to document lengths"):
+            load_index(path)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_resealed_byte_mutations(self, tmp_path_factory, data):
@@ -386,7 +433,7 @@ class TestPeakMemory:
     def test_build_index(self, docs, index):
         built, peak = traced_peak(lambda: build_index(docs, "fp"))
         assert built == index
-        assert peak <= 4.5 * 8 * len(index.positions)  # measured 3.1x
+        assert peak <= 2.5 * 8 * len(index.positions)  # measured 2.2x
 
     def test_persist_index(self, index, tmp_path):
         _none, peak = traced_peak(lambda: persist_index(index, tmp_path / "index.idx"))
@@ -398,7 +445,7 @@ class TestPeakMemory:
         persist_index(index, path)
         loaded, peak = traced_peak(lambda: load_index(path))
         assert loaded == index
-        assert peak <= 4 * path.stat().st_size  # measured 3.2x
+        assert peak <= 2.6 * path.stat().st_size  # measured 2.3x
 
 
 class _FullDisk:
@@ -456,6 +503,12 @@ class TestIngestion:
         for name in ("a.txt", "a.md", "b.txt"):
             (tmp_path / name).write_bytes(b"\xff\xfe")
         with pytest.raises(DuplicateDocIdError, match="'a'"):
+            read_corpus_dir(tmp_path)
+
+    def test_read_corpus_dir_rejects_an_id_without_utf8_form_before_reading(self, tmp_path):
+        for name in (b"a.txt", b"bad\xffname.txt"):
+            (tmp_path / os.fsdecode(name)).write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match="invalid document id: 'bad\\\\udcffname'"):
             read_corpus_dir(tmp_path)
 
     def test_read_queries_file(self, synthetic_dir):

@@ -8,7 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import priorcase.rankers as rankers_module
 from priorcase.embeddings import EmbeddingStore, aggregate_chunk_similarity
 from priorcase.index import PipelineMismatchError, build_index, load_index, persist_index
 from priorcase.rankers import (
@@ -731,10 +733,39 @@ class TestRakeVocabulary:
             assert got == want
 
 
+def one_bincount_sq_norms(index, terms) -> np.ndarray:
+    """Per-document sums of squared TF-IDF weights over `terms`, every
+    posting added in term order by one `np.bincount`."""
+    positions, weights = [np.zeros(0, np.int32)], [np.zeros(0)]
+    for term in terms:
+        lo, hi = index.offsets[index.term_ids[term]: index.term_ids[term] + 2]
+        w = index.tfs[lo:hi] * _bm25_idf(Variant.ATIRE, hi - lo, index.n_docs, 0.0, None)
+        positions.append(index.positions[lo:hi])
+        weights.append(w * w)
+    return np.bincount(np.concatenate(positions), weights=np.concatenate(weights),
+                       minlength=index.n_docs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(CONTENT_WORDS[:10] + STOP_SAMPLE[:3] + [","]),
+                         min_size=1, max_size=30), min_size=1, max_size=8)
+       .filter(lambda lists: not set(CONTENT_WORDS).isdisjoint(sum(lists, []))), st.integers(1, 7))
+def test_squared_norms_in_slices_equal_one_bincount(word_lists, slice_size):
+    texts = {f"d{i}": " ".join(words) for i, words in enumerate(word_lists)}
+    index = build_index([(d, tokenize_normalize(t, PRESET_STANDARD)) for d, t in texts.items()],
+                        pipeline_fingerprint(PRESET_STANDARD))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rankers_module, "_SLICE", slice_size)
+        searcher = Searcher(index, config=PRESET_STANDARD, corpus_texts=texts)
+    rake_terms = [term for term in index.terms if term in searcher._rake_vocab]
+    assert searcher._sq_norms.tobytes() == one_bincount_sq_norms(index, index.terms).tobytes()
+    assert searcher._rake_sq_norms.tobytes() == one_bincount_sq_norms(index, rake_terms).tobytes()
+
+
 def test_searcher_peak_memory():
-    """`Searcher(index)` holds one float64 weight per posting and numpy's
-    intp copy of the positions while it sums the TF-IDF document norms,
-    and nothing else of posting size."""
+    """`Searcher(index)` sums the TF-IDF document norms in blocks of about
+    `_SLICE` postings and holds nothing of posting size."""
     index = build_index(make_postings_corpus(), "fp")
+    assert len(index.positions) > 8 * rankers_module._SLICE
     _searcher, peak = traced_peak(lambda: Searcher(index))
-    assert peak <= 2.5 * 8 * len(index.positions)  # measured 2.0x
+    assert peak <= 1.25 * 8 * len(index.positions)  # measured 0.28x
