@@ -15,8 +15,8 @@ In memory the postings are CSR arrays (compressed sparse rows):
     lengths    int64 token count per position
 
 Every array is contiguous, read-only and owns its data.  Peak working
-memory, traced with P = 8 bytes per posting: build 3.1 P, persist P plus
-about 2 MB, load 3.2 x the file size, `Searcher` 2.0 P; see
+memory, traced with P = 8 bytes per posting: build 2.2 P, persist P plus
+about 2 MB, load 2.3 x the file size, `Searcher` 0.3 P; see
 docs/file_formats.md for what each stage holds.
 
 Persisted layout (little-endian, version 1):
