@@ -55,9 +55,7 @@ import numpy as np
 MAGIC = b"PCIX"
 FORMAT_VERSION = 1
 _INT32_MAX = np.iinfo(np.int32).max
-# postings per slice where a whole-index pass would otherwise cast every posting
-# to int64 or float64: the load length check and the `Searcher` norms
-_SLICE = 1 << 14
+_SLICE = 1 << 14  # postings per slice of the load length check and the `Searcher` norms
 
 
 class IndexFormatError(ValueError):
@@ -206,9 +204,8 @@ def build_index(
     tfs = np.concatenate(tf_chunks)
     del tf_chunks
     if key_type is np.int32:  # sort (key << 32 | tf) in place, then unpack both halves
-        packed = key.astype(np.int64)
+        packed = np.left_shift(key, 32, dtype=np.int64)
         del key
-        packed <<= 32
         packed |= tfs
         packed.sort()
         np.bitwise_and(packed, 0xFFFFFFFF, out=tfs, casting="unsafe")

@@ -292,13 +292,9 @@ class Searcher:
 
     def _squared_norms(self, terms: list[str] | None) -> np.ndarray:
         """Per-document sums of squared TF-IDF weights over `terms`
-        (ascending; every term when None), added up in term order.
-
-        The postings go through in blocks of whole terms of about `_SLICE`
-        postings, so no int64 or float64 copy of every posting is made.
-        Each block's bincount starts from the running sums, so every
-        document sees the same float additions as one bincount over all.
-        """
+        (ascending; every term when None), added up in term order.  Blocks
+        of whole terms of about `_SLICE` postings each extend the running
+        sums in one bincount: the same additions as one bincount over all."""
         idx = self.index
         if terms is None:
             ends = idx.offsets[1:]
