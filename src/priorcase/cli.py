@@ -38,6 +38,8 @@ DEFAULT_TOP_N = 100
 DEFAULT_COMPARE_SCORERS = "fused,tfidf_cos,bm25,commonwords_bm25"
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# pipeline switches that only a configuration file sets
+_PIPELINE_BOOLEANS = ("lowercase", "remove_noise", "remove_stopwords", "stem")
 # '#' opens a comment at line start or after whitespace, so values such
 # as `corpus = /data/case#1` keep their '#'.
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
@@ -99,7 +101,7 @@ def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
         raise ValueError(f"unknown preset {preset_name!r}; expected none, standard or full")
     overrides = {
         key: _as_bool(settings, key)
-        for key in ("lowercase", "remove_noise", "remove_stopwords", "stem")
+        for key in _PIPELINE_BOOLEANS
         if settings.get(key) is not None
     }
     if settings.get("min_token_len") is not None:
@@ -354,6 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             settings.update(load_config_file(_existing_path(args.config, "config file")))
+            # every command's settings are known, so one file serves them all
+            known = {key for name in _COMMANDS for key in vars(parser.parse_args([name]))}
+            known = (known - {"config", "command"}).union(_PIPELINE_BOOLEANS)
+            for key in settings:
+                if key not in known:
+                    raise ValueError(f"{args.config}: unknown setting {key!r}")
         for key, value in vars(args).items():
             if key in ("config", "command") or value is None:
                 continue

@@ -434,6 +434,7 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     are skipped.  Results are sorted by id.  An id that `build_index`
     would reject raises ValueError, and two files with the same id
     (`a.txt`, `a.md`) raise `DuplicateDocIdError`, before any file is read.
+    A file that is not UTF-8 raises ValueError naming the file.
     """
     root = Path(path)
     if not root.is_dir():
@@ -450,7 +451,14 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     for prev, entry in zip(entries, entries[1:]):
         if prev.stem == entry.stem:
             raise DuplicateDocIdError(entry.stem)
-    return [(entry.stem, entry.read_text(encoding="utf-8")) for entry in entries]
+    docs = []
+    for entry in entries:
+        try:
+            text = entry.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{entry}: {exc}") from None
+        docs.append((entry.stem, text))
+    return docs
 
 
 def read_queries_file(path: str | Path) -> list[tuple[str, str]]:

@@ -261,16 +261,16 @@ class Searcher:
         dfs = range(1, n + 1)
         self._idf_by_df = {v: np.array([math.nan] + [
             _bm25_idf(v, df, n, params.epsilon, avg_idf) for df in dfs]) for v in Variant}
-        self._sq_norms = self._squared_norms(None)
+        idf = self._idf_by_df[Variant.ATIRE][self._df]
+        self._sq_norms = self._squared_norms(idf)
         self._rake_vocab: frozenset[str] = frozenset()
         self._rake_sq_norms = np.zeros(n)
         if corpus_texts is not None and config is not None:
             self._rake_vocab = build_rake_vocabulary(
                 sorted(corpus_texts.items()), config, stopset
             )
-            self._rake_sq_norms = self._squared_norms(
-                [term for term in index.terms if term in self._rake_vocab]
-            )
+            in_vocab = [term in self._rake_vocab for term in index.terms]
+            self._rake_sq_norms = self._squared_norms(np.where(in_vocab, idf, 0.0))
         self._stack_chunks()
 
     # -- postings access -------------------------------------------------------
@@ -290,31 +290,22 @@ class Searcher:
         at = np.arange(df.sum()) + np.repeat(idx.offsets[tids] - first, df)
         return counts, df, idx.positions[at], idx.tfs[at]
 
-    def _squared_norms(self, terms: list[str] | None) -> np.ndarray:
-        """Per-document sums of squared TF-IDF weights over `terms`
-        (ascending; every term when None), added up in term order.  Blocks
-        of whole terms of about `_SLICE` postings each extend the running
-        sums in one bincount: the same additions as one bincount over all."""
+    def _squared_norms(self, idf: np.ndarray) -> np.ndarray:
+        """Per-document sums of squared TF-IDF weights, term id `t` weighing
+        `idf[t]`, in term order.  Blocks of whole terms of about `_SLICE`
+        postings each extend the running sums in one bincount: the same
+        additions as one bincount over all.  IDF 0.0 adds +0.0, a no-op."""
         idx = self.index
-        if terms is None:
-            ends = idx.offsets[1:]
-        else:
-            terms = [t for t in terms if t in idx.term_ids]
-            ends = np.cumsum(self._df[[idx.term_ids[t] for t in terms]])
         # block k: the terms whose postings end in (k * _SLICE, (k + 1) * _SLICE]
-        edges = sorted(set(np.searchsorted(
-            ends, np.arange(0, idx.positions.size + _SLICE, _SLICE), side="right").tolist()))
+        edges = sorted(set(np.searchsorted(idx.offsets[1:], np.arange(
+            0, idx.positions.size + _SLICE, _SLICE), side="right").tolist()))
         every_doc = np.arange(idx.n_docs)
         sums = np.zeros(idx.n_docs)
         for lo, hi in zip(edges, edges[1:]):
-            if terms is None:  # every posting in order: the gather would be a slice
-                at = slice(idx.offsets[lo], idx.offsets[hi])
-                df, pos, tf = self._df[lo:hi], idx.positions[at], idx.tfs[at]
-            else:
-                _counts, df, pos, tf = self._postings(terms[lo:hi])
-            w = tf * np.repeat(self._idf_by_df[Variant.ATIRE][df], df)
+            at = slice(idx.offsets[lo], idx.offsets[hi])
+            w = idx.tfs[at] * np.repeat(idf[lo:hi], self._df[lo:hi])
             w *= w
-            sums = np.bincount(np.concatenate((every_doc, pos)),
+            sums = np.bincount(np.concatenate((every_doc, idx.positions[at])),
                                weights=np.concatenate((sums, w)), minlength=idx.n_docs)
         return sums
 
@@ -387,7 +378,10 @@ class Searcher:
         query_words = build_rake_vocabulary([(query_id, query_text)], self.config, self.stopwords)
         base = self._rake_vocab
         # extra keywords outside the index gather nothing and add zeros
-        sq_norms = self._rake_sq_norms + self._squared_norms(sorted(query_words - base))
+        _counts, df, pos, tf = self._postings(sorted(query_words - base))
+        w = tf * np.repeat(self._idf_by_df[Variant.ATIRE][df], df)
+        sq_norms = self._rake_sq_norms + np.bincount(pos, weights=w * w,
+                                                     minlength=self.index.n_docs)
         kept = [t for t in query if t in base or t in query_words]
         return self._tfidf(self._postings(kept), sq_norms)
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from priorcase.index import (
 )
 from priorcase.rankers import Searcher
 from priorcase.textproc import PRESET_FULL, PRESET_STANDARD, pipeline_fingerprint, tokenize_normalize
+
+from conftest import REPO_ROOT
 
 
 @pytest.fixture
@@ -70,6 +74,17 @@ class TestIndexCommand:
         code = main(["index", "--corpus", str(corpus), "--out", paths["index"]])
         assert code == 1
         assert capsys.readouterr().err == "error: invalid document id: 'bad\\udcffname'\n"
+        assert not Path(paths["index"]).exists()
+
+    def test_corpus_file_that_is_not_utf8_is_named(self, paths, capsys):
+        corpus = paths["tmp"] / "latin1"
+        shutil.copytree(paths["corpus"], corpus)
+        (corpus / "zz.txt").write_bytes(b"caf\xe9")
+        code = main(["index", "--corpus", str(corpus), "--out", paths["index"]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {corpus / 'zz.txt'}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
         assert not Path(paths["index"]).exists()
 
     def test_full_preset_bytes_match_the_per_text_pipeline(self, paths):
@@ -348,6 +363,32 @@ class TestConfigFile:
         out_b = paths["tmp"] / "b.run"
         assert main(["--config", str(cfg), "search", "--out", str(out_b), "--top", "2"]) == 0
         assert all(len(r) == 2 for r in load_run(out_b).values())
+
+    def test_unknown_key_is_a_one_line_error(self, paths, capsys):
+        build_synthetic_index(paths)
+        cfg = paths["tmp"] / "c.conf"
+        # `top` is the flag's name; the setting is `top_n`
+        cfg.write_text(f"index = {paths['index']}\nqueries = {paths['queries']}\n"
+                       "scorer = bm25\ntop = 2\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["--config", str(cfg), "search", "--out", paths["run"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown setting 'top'\n"
+        assert not Path(paths["run"]).exists()
+
+    def test_every_documented_key_is_accepted(self, paths, capsys):
+        doc = (REPO_ROOT / "docs" / "file_formats.md").read_text(encoding="utf-8")
+        table = doc.split("## Configuration file", 1)[1]
+        keys = [key for row in re.findall(r"^\| (.*?) \|", table, re.M)
+                for key in re.findall(r"`(\w+)`", row)]
+        assert len(keys) == 26
+        write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
+        values = {"run": paths["run"], "qrels": paths["qrels"], "k": "1,3",
+                  "f1_mode": "per_query", "per_query": "false"}
+        cfg = paths["tmp"] / "all.conf"
+        cfg.write_text("".join(f"{key} = {values.get(key, 'x')}\n" for key in keys),
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "eval"]) == 0, capsys.readouterr().err
 
     def test_malformed_config_line(self, paths, capsys):
         cfg = paths["tmp"] / "bad.cfg"

@@ -749,14 +749,21 @@ def one_bincount_sq_norms(index, terms) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(CONTENT_WORDS[:10] + STOP_SAMPLE[:3] + [","]),
                          min_size=1, max_size=30), min_size=1, max_size=8)
-       .filter(lambda lists: not set(CONTENT_WORDS).isdisjoint(sum(lists, []))), st.integers(1, 7))
-def test_squared_norms_in_slices_equal_one_bincount(word_lists, slice_size):
+       .filter(lambda lists: not set(CONTENT_WORDS).isdisjoint(sum(lists, []))), st.integers(1, 7),
+       st.data())
+def test_squared_norms_in_slices_equal_one_bincount(word_lists, slice_size, data):
     texts = {f"d{i}": " ".join(words) for i, words in enumerate(word_lists)}
     index = build_index([(d, tokenize_normalize(t, PRESET_STANDARD)) for d, t in texts.items()],
                         pipeline_fingerprint(PRESET_STANDARD))
+    subset = data.draw(st.sets(st.sampled_from(index.terms)))
+    idf = np.array([_bm25_idf(Variant.ATIRE, df, index.n_docs, 0.0, None)
+                    for df in np.diff(index.offsets).tolist()])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rankers_module, "_SLICE", slice_size)
         searcher = Searcher(index, config=PRESET_STANDARD, corpus_texts=texts)
+        masked = searcher._squared_norms(np.where([t in subset for t in index.terms], idf, 0.0))
+    subset_terms = [term for term in index.terms if term in subset]
+    assert masked.tobytes() == one_bincount_sq_norms(index, subset_terms).tobytes()
     rake_terms = [term for term in index.terms if term in searcher._rake_vocab]
     assert searcher._sq_norms.tobytes() == one_bincount_sq_norms(index, index.terms).tobytes()
     assert searcher._rake_sq_norms.tobytes() == one_bincount_sq_norms(index, rake_terms).tobytes()
