@@ -97,6 +97,9 @@ def evaluate_run(
     ks = tuple(ks)
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be a non-empty list of integers >= 1")
+    repeated = sorted({k for k in ks if ks.count(k) > 1})
+    if repeated:
+        raise ValueError(f"cutoff {repeated[0]} is given more than once")
     if f1_mode not in ("per_query", "pooled"):
         raise ValueError("f1_mode must be 'per_query' or 'pooled'")
     missing = sorted(qid for qid in run if qid not in qrels)

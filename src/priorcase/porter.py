@@ -20,6 +20,14 @@ candidate stem is a slice of it:
 
 A step that writes new letters extends the pattern over just those.
 
+Two shortcuts keep the work per word small.  Every rule suffix has at
+least two letters, so a step keys its rules by their last two letters,
+longest first: the rules under the word's own last two letters are the
+only ones it can end in, and the first of them that it ends in is the
+longest match.  A pattern over ASCII letters without a "y" needs no
+look-back, so it is one `str.translate`; any other letters take the
+per-letter loop.
+
 Any string is accepted: every character but a, e, i, o, u and a "y"
 after a consonant counts as a consonant, even uppercase, digits, "é".
 """
@@ -29,12 +37,16 @@ from __future__ import annotations
 _VOWELS = "aeiou"
 
 
+_CLASSES = str.maketrans({chr(i): "v" if chr(i) in _VOWELS else "c" for i in range(128)})
+
+
 class _Rules(dict):
-    """Suffix -> replacement; only a step's longest matching suffix counts."""
+    """Last two letters -> the (suffix, replacement) rules ending in them, longest first."""
 
     def __init__(self, rules: dict[str, str]) -> None:
-        super().__init__(rules)
-        self.lengths = sorted({len(s) for s in rules}, reverse=True)
+        super().__init__()
+        for suffix in sorted(rules, key=len, reverse=True):
+            self[suffix[-2:]] = self.get(suffix[-2:], ()) + ((suffix, rules[suffix]),)
 
 
 _STEP2 = _Rules({
@@ -96,6 +108,8 @@ _STEP4 = _Rules({
 
 def _pattern(letters: str, p: str = "") -> str:
     """The pattern `p` of a word's prefix, extended over the `letters` after it."""
+    if letters.isascii() and "y" not in letters:
+        return p + letters.translate(_CLASSES)
     for ch in letters:
         p += "v" if ch in _VOWELS or (ch == "y" and p[-1:] == "c") else "c"
     return p
@@ -113,11 +127,10 @@ def _ends_cvc(word: str, p: str) -> bool:
 
 def _replace_suffix(word: str, p: str, rules: _Rules, min_measure: int) -> tuple[str, str]:
     """Apply the longest suffix in `rules` if its stem has measure >= `min_measure`."""
-    for n in rules.lengths:
-        suffix = word[-n:]
-        repl = rules.get(suffix)
-        if repl is None:
+    for suffix, repl in rules.get(word[-2:], ()):
+        if not word.endswith(suffix):
             continue
+        n = len(suffix)
         if p[:-n].count("vc") < min_measure:
             return word, p
         # step 4 removes -ion only after s or t

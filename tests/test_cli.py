@@ -280,6 +280,16 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "P@2\tall" in out and "P@4\tall" in out and "P@10\tall" not in out
 
+    def test_repeated_cutoff_is_one_error_line(self, paths, capsys):
+        build_synthetic_index(paths)
+        main(["search", "--index", paths["index"], "--queries", paths["queries"],
+              "--scorer", "bm25", "--out", paths["run"]])
+        capsys.readouterr()
+        assert main(["eval", "--run", paths["run"], "--qrels", paths["qrels"], "--k", "3,3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cutoff 3 is given more than once\n"
+
 
 class TestCompareCommand:
     def test_rows_sorted_by_p10_then_name(self, paths, capsys):

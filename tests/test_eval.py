@@ -103,6 +103,12 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="mystery"):
             evaluate_run(run, {"q1": {"a"}}, ks=[1])
 
+    def test_repeated_cutoff_rejected(self):
+        # a repeated k would print every one of its metric lines twice
+        run = {"q1": [("rel", 1.0)]}
+        with pytest.raises(ValueError, match="cutoff 3 is given more than once"):
+            evaluate_run(run, {"q1": {"rel"}}, ks=[1, 3, 3])
+
     def test_empty_qrels_query_skipped_and_flagged(self):
         run = {"q1": [("rel", 1.0)], "q2": [("rel", 1.0)]}
         qrels = {"q1": {"rel"}, "q2": set()}

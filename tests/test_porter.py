@@ -6,7 +6,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from priorcase.porter import porter_stem
+from priorcase.porter import _pattern, porter_stem
 from priorcase.textproc import split_tokens
 
 # (word, stem) pairs from the reference vocabulary of the algorithm;
@@ -180,3 +180,43 @@ def test_any_pipeline_token_is_stemmed_safely(token):
     assert len(stem) <= len(token)
     if len(token) <= 2:
         assert stem == token
+
+
+# sha256 of the "token\tstem\n" lines of pipeline_words(), recorded from
+# the stemmer that produced GOLDEN_SHA256, before the pattern got its
+# ASCII fast path
+PIPELINE_GOLDEN_SHA256 = "c5429049648afed5a849b4456ab3afddcbe3c926a41c23d450260ce3e346b964"
+
+
+def pipeline_words() -> list[str]:
+    """20,000 tokens: 1-16 `_LETTERS`, or a 0-4 letter prefix, a rule suffix, an ending."""
+    rng = random.Random(1980)
+    words = []
+    for _ in range(10_000):
+        words.append("".join(rng.choices(_LETTERS, k=rng.randint(1, 16))))
+        prefix = "".join(rng.choices(_LETTERS, k=rng.randint(0, 4)))
+        words.append(prefix + rng.choice(RULE_SUFFIXES) + rng.choice(ENDINGS))
+    return words
+
+
+def test_pipeline_golden_stems_are_unchanged():
+    lines = "".join(f"{word}\t{porter_stem(word)}\n" for word in pipeline_words())
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == PIPELINE_GOLDEN_SHA256
+
+
+def _pattern_by_definition(word: str) -> str:
+    """One class per letter: a, e, i, o, u, and a lowercase "y" after a consonant, are "v"."""
+    classes = []
+    for ch in word:
+        after_consonant = bool(classes) and classes[-1] == "c"
+        classes.append("v" if ch in "aeiou" or (ch == "y" and after_consonant) else "c")
+    return "".join(classes)
+
+
+@given(st.text(alphabet=_LETTERS + "yy", max_size=16), st.text(alphabet=_LETTERS + "yy", max_size=8))
+def test_pattern_follows_the_letter_classes(word, tail):
+    # uppercase "Y", digits and non-ASCII letters are consonants
+    assert _pattern("syzygY9\u00e9a") == "cvcvccccv"
+    assert _pattern(word) == _pattern_by_definition(word)
+    # extending a prefix's pattern gives the whole word's pattern
+    assert _pattern(tail, _pattern(word)) == _pattern_by_definition(word + tail)
