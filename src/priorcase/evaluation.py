@@ -97,7 +97,7 @@ def evaluate_run(
     ks = tuple(ks)
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be a non-empty list of integers >= 1")
-    repeated = sorted({k for k in ks if ks.count(k) > 1})
+    repeated = [k for k in ks if ks.count(k) > 1]
     if repeated:
         raise ValueError(f"cutoff {repeated[0]} is given more than once")
     if f1_mode not in ("per_query", "pooled"):

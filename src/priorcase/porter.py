@@ -35,8 +35,6 @@ after a consonant counts as a consonant, even uppercase, digits, "é".
 from __future__ import annotations
 
 _VOWELS = "aeiou"
-
-
 _CLASSES = str.maketrans({chr(i): "v" if chr(i) in _VOWELS else "c" for i in range(128)})
 
 
