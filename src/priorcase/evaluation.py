@@ -209,9 +209,20 @@ def load_run(path: str | Path) -> Run:
 
 
 def write_run(run: Run, path: str | Path, tag: str) -> None:
-    """Write a run file, queries in ascending id order, ranks from 1."""
+    """Write a run file, queries in ascending id order, ranks from 1.
+
+    Rejects, before touching `path`, any ranking `load_run` could not read
+    back: ids that are not single words, a document listed twice, or a
+    score that is not finite.
+    """
     if not tag or any(ch.isspace() for ch in tag):
         raise ValueError(f"run tag must be a single non-empty word, got {tag!r}")
+    for qid, ranking in run.items():
+        doc_ids, scores = zip(*ranking) if ranking else ((), ())
+        if (qid.split() != [qid] or " ".join(doc_ids).split() != list(doc_ids)
+                or len(set(doc_ids)) != len(doc_ids) or not all(map(math.isfinite, scores))):
+            raise ValueError(f"cannot write query {qid!r}: its id and document ids must be "
+                             "single words, each document listed once, with finite scores")
     lines = [
         f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"
         for qid in sorted(run)

@@ -44,9 +44,10 @@ import os
 import secrets
 import struct
 import zlib
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, Sequence
 
@@ -174,7 +175,8 @@ def build_index(
     """
     doc_ids: list[str] = []
     lengths: list[int] = []
-    vocab: dict[str, int] = {}
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # id by first appearance
+    id_of = vocab.__getitem__
     term_chunks: list[np.ndarray] = []
     tf_chunks: list[np.ndarray] = []
     for doc_id, tokens in sorted(docs, key=lambda doc: doc[0]):
@@ -183,9 +185,9 @@ def build_index(
             raise DuplicateDocIdError(doc_id)
         doc_ids.append(doc_id)
         lengths.append(len(tokens))
-        counts = Counter(tokens)
-        term_chunks.append(np.array([vocab.setdefault(t, len(vocab)) for t in counts], np.int32))
-        tf_chunks.append(np.fromiter(counts.values(), np.int32, len(counts)))
+        ids, tfs = np.unique(np.fromiter(map(id_of, tokens), np.int32, len(tokens)), return_counts=True)
+        term_chunks.append(ids)
+        tf_chunks.append(tfs.astype(np.int32))
 
     if not doc_ids:
         raise ValueError("nothing to index: empty corpus")

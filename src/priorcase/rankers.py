@@ -460,6 +460,11 @@ class Searcher:
             raise ValueError("top_n must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        seen: set[str] = set()
+        for qid, _text in queries:
+            if qid in seen:
+                raise ValueError(f"duplicate query id {qid!r}")
+            seen.add(qid)
 
         def one(item: tuple[str, str]) -> tuple[str, Ranking]:
             qid, text = item

@@ -252,6 +252,27 @@ class TestInterchangeFiles:
             with pytest.raises(ValueError, match=f"^no results found in {re.escape(str(path))}$"):
                 load_run(path)
 
+    @pytest.mark.parametrize("qid, ranking", [
+        ("q 1", [("a", 1.0)]),
+        ("", [("a", 1.0)]),
+        ("q1", [("a", 1.0), ("b c", 0.5)]),
+        ("q1", [("a", 1.0), ("b", float("nan"))]),
+        ("q1", [("a", 1.0), ("b", 0.5), ("a", 0.25)]),
+    ], ids=["space-in-query-id", "empty-query-id", "space-in-doc-id", "nan-score", "doc-listed-twice"])
+    def test_write_run_rejects_what_load_run_cannot_read(self, tmp_path, qid, ranking):
+        with pytest.raises(ValueError, match=f"^cannot write query {re.escape(repr(qid))}:"):
+            write_run({"q0": [("z", 1.0)], qid: ranking}, tmp_path / "bad.run", tag="t")
+        assert os.listdir(tmp_path) == []
+
+    def test_rejected_run_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.run"
+        write_run({"q1": [("a", 1.0)]}, path, tag="t")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="'q1'"):
+            write_run({"q1": [("a", float("inf"))]}, path, tag="t")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.run"]
+
     def test_run_file_bytes_are_fixed(self, tmp_path):
         run = {"q10": [("b", 1 / 3), ("a", 0.0)], "q9": [("c", -2.5), ("d", 1e-7)], "q0": []}
         path = tmp_path / "out.run"

@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import priorcase.index as index_module
 from priorcase.evaluation import write_run
@@ -228,6 +228,18 @@ def test_build_matches_naive_postings(token_lists, rng):
     docs = [(f"d{i}", tokens) for i, tokens in enumerate(token_lists)]
     rng.shuffle(docs)
     _assert_matches_naive_postings(docs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefg") | st.text(max_size=2), max_size=15),
+                min_size=1, max_size=9).filter(any), st.randoms(use_true_random=False))
+@example([[], ["b", "a", "b"], ["a", "c", "b"]], random.Random(0))
+def test_build_ignores_token_and_document_order(token_lists, rng):
+    # term ids come from first appearance, so permuting tokens reorders them before the rank remap
+    docs = [(f"d{i}", tokens) for i, tokens in enumerate(token_lists)]
+    permuted = [(doc_id, rng.sample(tokens, len(tokens))) for doc_id, tokens in docs]
+    rng.shuffle(permuted)
+    assert build_index(permuted, "fp") == build_index(docs, "fp")
 
 
 def _decode(data: bytes):

@@ -254,6 +254,16 @@ class TestScoreQuery:
         with pytest.raises(ValueError, match="'d2' is in the index only"):
             Searcher(small_index, corpus_texts={"d1": "a"})
 
+    def test_search_all_rejects_a_repeated_query_id(self, monkeypatch):
+        idx = build_index([("d1", ["alpha", "beta"]), ("d2", ["gamma"])],
+                          pipeline_fingerprint(PRESET_STANDARD))
+        searcher = Searcher(idx, config=PRESET_STANDARD)
+        monkeypatch.setattr(searcher, "_scores", lambda *args: pytest.fail("a query was scored"))
+        queries = [("q1", "alpha"), ("q2", "beta"), ("q1", "gamma"), ("q2", "beta")]
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="^duplicate query id 'q1'$"):
+                searcher.search_all(queries, "bm25", workers=workers)
+
     def test_pipeline_mismatch_rejected(self):
         fp = pipeline_fingerprint(PRESET_STANDARD)
         idx = build_index([("d1", ["court"])], fp)
