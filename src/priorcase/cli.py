@@ -67,18 +67,15 @@ def _as_bool(settings: dict, key: str) -> bool:
     return _BOOL_VALUES[raw]
 
 
-def _as_int(settings: dict, key: str) -> int:
+def _as_number(settings: dict, key: str, kind: type = float, default=None):
+    """`settings[key]` as `kind` (int or float), or `default` when it is unset."""
+    if settings.get(key) is None:
+        return default
     try:
-        return int(settings[key])
+        return kind(settings[key])
     except (TypeError, ValueError):
-        raise ValueError(f"config value {key!r} must be an integer, got {settings[key]!r}") from None
-
-
-def _as_float(settings: dict, key: str) -> float:
-    try:
-        return float(settings[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"config value {key!r} must be a number, got {settings[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"config value {key!r} must be {noun}, got {settings[key]!r}") from None
 
 
 def _require(settings: dict, key: str, flag: str) -> str:
@@ -105,7 +102,7 @@ def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
         if settings.get(key) is not None
     }
     if settings.get("min_token_len") is not None:
-        overrides["min_token_len"] = _as_int(settings, "min_token_len")
+        overrides["min_token_len"] = _as_number(settings, "min_token_len", int)
     config = dataclasses.replace(PRESETS[preset_name], **overrides)
 
     if settings.get("stopword_file"):
@@ -116,11 +113,8 @@ def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
 
 
 def _build_params(settings: dict) -> BM25Params:
-    kwargs = {}
-    for key in ("k1", "b", "epsilon", "delta"):
-        if settings.get(key) is not None:
-            kwargs[key] = _as_float(settings, key)
-    return BM25Params(**kwargs)
+    values = {key: _as_number(settings, key) for key in ("k1", "b", "epsilon", "delta")}
+    return BM25Params(**{key: value for key, value in values.items() if value is not None})
 
 
 def _parse_ks(settings: dict) -> tuple[int, ...]:
@@ -175,22 +169,32 @@ def cmd_index(settings: dict) -> int:
     return 0
 
 
-def cmd_search(settings: dict) -> int:
+def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict, int]:
+    """Rank every query under each scorer: the half `search` and `compare` share."""
     index_path = _existing_path(_require(settings, "index", "--index"), "index file")
     queries_path = _existing_path(_require(settings, "queries", "--queries"), "queries file")
-    scorer = _require(settings, "scorer", "--scorer")
-    if scorer not in SCORER_NAMES:
-        raise ValueError(f"unknown scorer {scorer!r}; expected one of {', '.join(SCORER_NAMES)}")
-    out = _require(settings, "out", "--out")
-    top_n = _as_int(settings, "top_n") if settings.get("top_n") is not None else DEFAULT_TOP_N
-    workers = _as_int(settings, "workers") if settings.get("workers") is not None else 1
-    tag = settings.get("tag") or scorer
+    unknown = [s for s in scorers if s not in SCORER_NAMES]
+    if unknown:
+        raise ValueError(f"unknown scorer {', '.join(map(repr, unknown))}; "
+                         f"expected one of {', '.join(SCORER_NAMES)}")
+    for i, scorer in enumerate(scorers):
+        if scorer in scorers[:i]:
+            raise ValueError(f"scorer {scorer} is given more than once")
+    top_n = _as_number(settings, "top_n", int, DEFAULT_TOP_N)
+    workers = _as_number(settings, "workers", int, 1)
 
-    searcher = _build_searcher(settings, [scorer], index_path)
+    searcher = _build_searcher(settings, scorers, index_path)
     queries = read_queries_file(queries_path)
-    run = searcher.search_all(queries, scorer, top_n=top_n, workers=workers)
-    write_run(run, out, tag)
-    print(f"ranked {len(run)} queries with {scorer} -> {out}")
+    runs = {s: searcher.search_all(queries, s, top_n=top_n, workers=workers) for s in scorers}
+    return searcher, queries, runs, top_n
+
+
+def cmd_search(settings: dict) -> int:
+    scorer = _require(settings, "scorer", "--scorer")
+    out = _require(settings, "out", "--out")
+    searcher, queries, runs, _top_n = _rank_all(settings, [scorer])
+    write_run(runs[scorer], out, settings.get("tag") or scorer)
+    print(f"ranked {len(runs[scorer])} queries with {scorer} -> {out}")
     # queries that normalize to no tokens, or to none in the index
     unmatched = sum(
         not any(t in searcher.index.term_ids
@@ -234,25 +238,14 @@ def _rank_buckets(run: dict, qrels: dict, top_n: int, width: int = 10) -> list[t
 
 
 def cmd_compare(settings: dict) -> int:
-    index_path = _existing_path(_require(settings, "index", "--index"), "index file")
-    queries_path = _existing_path(_require(settings, "queries", "--queries"), "queries file")
-    qrels_path = _existing_path(_require(settings, "qrels", "--qrels"), "qrels file")
     scorers = [s.strip() for s in str(settings.get("scorers") or DEFAULT_COMPARE_SCORERS).split(",") if s.strip()]
     if not scorers:
         raise ValueError("no scorers given: --scorers needs at least one name")
-    unknown = [s for s in scorers if s not in SCORER_NAMES]
-    if unknown:
-        raise ValueError(f"unknown scorers: {', '.join(unknown)}")
-    top_n = _as_int(settings, "top_n") if settings.get("top_n") is not None else DEFAULT_TOP_N
-    workers = _as_int(settings, "workers") if settings.get("workers") is not None else 1
-
-    searcher = _build_searcher(settings, scorers, index_path)
-    queries = read_queries_file(queries_path)
-    qrels = load_qrels(qrels_path)
+    qrels = load_qrels(_existing_path(_require(settings, "qrels", "--qrels"), "qrels file"))
+    _searcher, _queries, runs, top_n = _rank_all(settings, scorers)
 
     results = []
-    for scorer in scorers:
-        run = searcher.search_all(queries, scorer, top_n=top_n, workers=workers)
+    for scorer, run in runs.items():
         report = evaluate_run(run, qrels, ks=(10,))
         results.append(
             (

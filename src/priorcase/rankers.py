@@ -72,14 +72,15 @@ class BM25Params:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        # each check is written so that NaN fails it
+        if not 0 < self.k1 < math.inf:
+            raise ValueError("k1 must be > 0 and finite")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.delta is not None and self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be >= 0 and finite")
+        if self.delta is not None and not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be >= 0 and finite")
 
     def delta_for(self, variant: Variant) -> float:
         if self.delta is not None:

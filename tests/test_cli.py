@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour on the bundled synthetic corpus."""
 
+import dataclasses
 import json
 import os
 import re
@@ -17,8 +18,14 @@ from priorcase.index import (
     read_corpus_dir,
     read_queries_file,
 )
-from priorcase.rankers import Searcher
-from priorcase.textproc import PRESET_FULL, PRESET_STANDARD, pipeline_fingerprint, tokenize_normalize
+from priorcase.rankers import SCORER_NAMES, BM25Params, Searcher
+from priorcase.textproc import (
+    PRESET_FULL,
+    PRESET_STANDARD,
+    pipeline_fingerprint,
+    tokenize_corpus,
+    tokenize_normalize,
+)
 
 from conftest import REPO_ROOT
 
@@ -39,6 +46,14 @@ def paths(synthetic_dir, tmp_path):
 def build_synthetic_index(paths) -> None:
     code = main(["index", "--corpus", paths["corpus"], "--out", paths["index"]])
     assert code == 0
+
+
+def library_run_bytes(paths, scorer, config=PRESET_STANDARD, params=BM25Params()) -> bytes:
+    """The run file `write_run` makes for the library's `search_all` on the index."""
+    reference = paths["tmp"] / "reference.run"
+    searcher = Searcher(load_index(paths["index"]), config=config, params=params)
+    write_run(searcher.search_all(read_queries_file(paths["queries"]), scorer), reference, scorer)
+    return reference.read_bytes()
 
 
 class TestIndexCommand:
@@ -99,6 +114,27 @@ class TestIndexCommand:
         )
         assert Path(paths["index"]).read_bytes() == reference.read_bytes()
 
+    def test_min_token_len_matches_the_library_build(self, paths, capsys):
+        code = main(["index", "--corpus", paths["corpus"], "--out", paths["index"],
+                     "--min-token-len", "4"])
+        assert code == 0
+        config = dataclasses.replace(PRESET_STANDARD, min_token_len=4)
+        doc_ids, texts = zip(*read_corpus_dir(paths["corpus"]))
+        reference = paths["tmp"] / "reference.idx"
+        persist_index(build_index(zip(doc_ids, tokenize_corpus(texts, config)),
+                                  pipeline_fingerprint(config)), reference)
+        assert Path(paths["index"]).read_bytes() == reference.read_bytes()
+        # the standard preset keeps the three-letter "tax"; this index does not
+        assert "tax" not in load_index(paths["index"]).term_ids
+
+        search = ["search", "--index", paths["index"], "--queries", paths["queries"],
+                  "--scorer", "bm25", "--out", paths["run"]]
+        capsys.readouterr()
+        assert main(search) == 1
+        assert "pipeline mismatch" in capsys.readouterr().err
+        assert main(search + ["--min-token-len", "4"]) == 0
+        assert Path(paths["run"]).read_bytes() == library_run_bytes(paths, "bm25", config)
+
     def test_preset_changes_fingerprint(self, paths):
         build_synthetic_index(paths)
         other = str(paths["tmp"] / "full.idx")
@@ -153,6 +189,41 @@ class TestSearchCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not Path(paths["run"]).exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("scorer, flags, params", [
+        ("bm25_okapi", ["--k1", "1.2", "--b", "0.3", "--epsilon", "0.1"], BM25Params(1.2, 0.3, 0.1)),
+        ("bm25plus", ["--delta", "0.4"], BM25Params(delta=0.4)),
+    ])
+    def test_bm25_parameters_reach_the_scorer(self, paths, scorer, flags, params, from_config):
+        build_synthetic_index(paths)
+        args = ["search", "--index", paths["index"], "--queries", paths["queries"],
+                "--scorer", scorer, "--out", paths["run"]]
+        if from_config:
+            config = paths["tmp"] / "bm25.conf"
+            config.write_text("".join(f"{flag[2:]} = {value}\n"
+                                      for flag, value in zip(flags[::2], flags[1::2])),
+                              encoding="utf-8")
+            args = ["--config", str(config)] + args
+        else:
+            args += flags
+        assert main(args) == 0
+        written = Path(paths["run"]).read_bytes()
+        assert written == library_run_bytes(paths, scorer, params=params)
+        assert written != library_run_bytes(paths, scorer)
+
+    def test_non_finite_bm25_parameter_is_a_one_line_error(self, paths, capsys):
+        build_synthetic_index(paths)
+        capsys.readouterr()
+        code = main([
+            "search", "--index", paths["index"], "--queries", paths["queries"],
+            "--scorer", "bm25", "--out", paths["run"], "--k1", "nan",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: k1 must be > 0 and finite\n"
+        assert captured.out == ""
         assert not Path(paths["run"]).exists()
 
     def test_tag_defaults_to_scorer_name(self, paths):
@@ -352,6 +423,40 @@ class TestCompareCommand:
         assert code == 1
         assert captured.err.startswith("error: no scorers") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_repeated_scorer_is_a_one_line_error(self, paths, capsys, from_config):
+        build_synthetic_index(paths)
+        args = ["compare", "--index", paths["index"], "--queries", paths["queries"],
+                "--qrels", paths["qrels"]]
+        if from_config:
+            config = paths["tmp"] / "compare.conf"
+            config.write_text("scorers = bm25,bm25,tfidf_cos\n", encoding="utf-8")
+            args = ["--config", str(config)] + args
+        else:
+            args += ["--scorers", "bm25,bm25,tfidf_cos"]
+        capsys.readouterr()
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: scorer bm25 is given more than once\n"
+        assert captured.out == ""
+
+    def test_unknown_scorers_are_named_in_one_message(self, paths, capsys):
+        build_synthetic_index(paths)
+        config = paths["tmp"] / "search.conf"
+        config.write_text("scorer = wizardry\n", encoding="utf-8")
+        expected = ("error: unknown scorer 'wizardry'; expected one of "
+                    f"{', '.join(SCORER_NAMES)}\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), "search", "--index", paths["index"],
+                     "--queries", paths["queries"], "--out", paths["run"]]) == 1
+        assert capsys.readouterr().err == expected
+        assert not Path(paths["run"]).exists()
+        assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
+                     "--qrels", paths["qrels"], "--scorers", "bm25,wizardry,bm26"]) == 1
+        assert capsys.readouterr().err == expected.replace("'wizardry'", "'wizardry', 'bm26'")
 
 
 class TestConfigFile:

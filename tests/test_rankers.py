@@ -156,6 +156,11 @@ class TestParams:
             BM25Params(epsilon=-0.1)
         with pytest.raises(ValueError):
             BM25Params(delta=-1.0)
+        # NaN and infinity would score every document NaN (or inf)
+        for name in ("k1", "b", "epsilon", "delta"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    BM25Params(**{name: value})
 
 
 class TestFuseAndChunks:
