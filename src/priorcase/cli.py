@@ -169,7 +169,7 @@ def cmd_index(settings: dict) -> int:
     return 0
 
 
-def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict, int]:
+def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict]:
     """Rank every query under each scorer: the half `search` and `compare` share."""
     index_path = _existing_path(_require(settings, "index", "--index"), "index file")
     queries_path = _existing_path(_require(settings, "queries", "--queries"), "queries file")
@@ -186,13 +186,13 @@ def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict,
     searcher = _build_searcher(settings, scorers, index_path)
     queries = read_queries_file(queries_path)
     runs = {s: searcher.search_all(queries, s, top_n=top_n, workers=workers) for s in scorers}
-    return searcher, queries, runs, top_n
+    return searcher, queries, runs
 
 
 def cmd_search(settings: dict) -> int:
     scorer = _require(settings, "scorer", "--scorer")
     out = _require(settings, "out", "--out")
-    searcher, queries, runs, _top_n = _rank_all(settings, [scorer])
+    searcher, queries, runs = _rank_all(settings, [scorer])
     write_run(runs[scorer], out, settings.get("tag") or scorer)
     print(f"ranked {len(runs[scorer])} queries with {scorer} -> {out}")
     # queries that normalize to no tokens, or to none in the index
@@ -213,9 +213,7 @@ def cmd_eval(settings: dict) -> int:
     qrels_path = _existing_path(_require(settings, "qrels", "--qrels"), "qrels file")
     ks = _parse_ks(settings)
     f1_mode = str(settings.get("f1_mode") or "per_query")
-    per_query = settings.get("per_query") or False
-    if isinstance(per_query, str):
-        per_query = _as_bool(settings, "per_query")
+    per_query = bool(settings.get("per_query")) and _as_bool(settings, "per_query")
     run = load_run(run_path)
     qrels = load_qrels(qrels_path)
     report = evaluate_run(run, qrels, ks, f1_mode=f1_mode)
@@ -223,18 +221,16 @@ def cmd_eval(settings: dict) -> int:
     return 0
 
 
-def _rank_buckets(run: dict, qrels: dict, top_n: int, width: int = 10) -> list[tuple[str, int]]:
-    """Count relevant documents by retrieval-rank bucket across queries."""
-    counts = [0] * ((top_n + width - 1) // width)
+def _rank_buckets(run: dict, qrels: dict) -> list[tuple[str, int]]:
+    """Count relevant documents in buckets of ten ranks, up to the longest ranking."""
+    longest = max(map(len, run.values()), default=0)
+    counts = [0] * ((longest + 9) // 10)
     for qid, ranking in run.items():
         relevant = qrels.get(qid, set())
-        for position, (doc_id, _score) in enumerate(ranking, start=1):
+        for position, (doc_id, _score) in enumerate(ranking):
             if doc_id in relevant:
-                counts[(position - 1) // width] += 1
-    return [
-        (f"{i * width + 1}-{min((i + 1) * width, top_n)}", count)
-        for i, count in enumerate(counts)
-    ]
+                counts[position // 10] += 1
+    return [(f"{i * 10 + 1}-{min(i * 10 + 10, longest)}", count) for i, count in enumerate(counts)]
 
 
 def cmd_compare(settings: dict) -> int:
@@ -242,31 +238,20 @@ def cmd_compare(settings: dict) -> int:
     if not scorers:
         raise ValueError("no scorers given: --scorers needs at least one name")
     qrels = load_qrels(_existing_path(_require(settings, "qrels", "--qrels"), "qrels file"))
-    _searcher, _queries, runs, top_n = _rank_all(settings, scorers)
-
-    results = []
-    for scorer, run in runs.items():
-        report = evaluate_run(run, qrels, ks=(10,))
-        results.append(
-            (
-                scorer,
-                report.mean_precision.get(10, 0.0),
-                report.mean_recall.get(10, 0.0),
-                report.mean_f1.get(10, 0.0),
-                report.mrr,
-                _rank_buckets(run, qrels, top_n),
-            )
-        )
-    results.sort(key=lambda row: (-row[1], row[0]))
+    _searcher, _queries, runs = _rank_all(settings, scorers)
+    reports = {scorer: evaluate_run(run, qrels, ks=(10,)) for scorer, run in runs.items()}
+    order = sorted(reports, key=lambda name: (-reports[name].mean_precision.get(10, 0.0), name))
 
     print(f"{'method':<20}{'P@10':>10}{'R@10':>10}{'F1@10':>10}{'MRR':>10}")
-    for scorer, p10, r10, f1, mrr, _buckets in results:
-        print(f"{scorer:<20}{p10:>10.4f}{r10:>10.4f}{f1:>10.4f}{mrr:>10.4f}")
+    for scorer in order:
+        r = reports[scorer]
+        print(f"{scorer:<20}{r.mean_precision.get(10, 0.0):>10.4f}"
+              f"{r.mean_recall.get(10, 0.0):>10.4f}{r.mean_f1.get(10, 0.0):>10.4f}{r.mrr:>10.4f}")
     print()
     print("relevant documents found, by rank bucket:")
-    for scorer, _p, _r, _f, _m, buckets in results:
-        parts = "  ".join(f"{label}: {count}" for label, count in buckets)
-        print(f"  {scorer:<18}{parts}")
+    for scorer in order:
+        buckets = _rank_buckets(runs[scorer], qrels)
+        print(f"  {scorer:<18}" + "  ".join(f"{label}: {count}" for label, count in buckets))
     return 0
 
 

@@ -233,44 +233,33 @@ def write_run(run: Run, path: str | Path, tag: str) -> None:
 
 
 def format_report(report: EvalReport, per_query: bool = False) -> str:
-    """Human-readable table plus machine-readable `metric query value` lines."""
-    lines = []
+    """Human-readable table plus machine-readable `metric query value` lines.
+
+    The mean is one more row, "all", whose reciprocal rank reads `MRR`; a
+    report with no evaluated query prints its means as 0.
+    """
     ks = report.ks
-    header = "query".ljust(12) + "".join(
-        f"{name}@{k}".rjust(10) for name in ("P", "R", "F1") for k in ks
-    ) + "RR".rjust(10)
-    if per_query:
-        lines.append(header)
-        for qid in sorted(report.queries):
-            q = report.queries[qid]
-            row = qid.ljust(12)
-            row += "".join(f"{q.precision[k]:10.4f}" for k in ks)
-            row += "".join(f"{q.recall[k]:10.4f}" for k in ks)
-            row += "".join(f"{q.f1[k]:10.4f}" for k in ks)
-            row += f"{q.reciprocal_rank:10.4f}"
-            lines.append(row)
-    lines.append(header.replace("query".ljust(12), "mean".ljust(12), 1))
-    mean_row = "all".ljust(12)
-    mean_row += "".join(f"{report.mean_precision.get(k, 0.0):10.4f}" for k in ks)
-    mean_row += "".join(f"{report.mean_recall.get(k, 0.0):10.4f}" for k in ks)
-    mean_row += "".join(f"{report.mean_f1.get(k, 0.0):10.4f}" for k in ks)
-    mean_row += f"{report.mrr:10.4f}"
-    lines.append(mean_row)
+    queries = [report.queries[qid] for qid in sorted(report.queries)]
+    mean = QueryEval("all", report.mean_precision, report.mean_recall, report.mean_f1, report.mrr)
+
+    def metrics(q: QueryEval) -> tuple[tuple[str, dict[int, float]], ...]:
+        return ("P", q.precision), ("R", q.recall), ("F1", q.f1)
+
+    def table_row(q: QueryEval) -> str:
+        cells = [values.get(k, 0.0) for _name, values in metrics(q) for k in ks]
+        cells.append(q.reciprocal_rank)
+        return q.query_id.ljust(12) + "".join(f"{v:10.4f}" for v in cells)
+
+    header = "".join(f"{name}@{k}".rjust(10) for name in ("P", "R", "F1") for k in ks)
+    header += "RR".rjust(10)
+    lines = ["query".ljust(12) + header, *map(table_row, queries)] if per_query else []
+    lines += ["mean".ljust(12) + header, table_row(mean)]
     if report.skipped:
-        lines.append(
-            "skipped (no relevant documents judged): " + ", ".join(report.skipped)
-        )
+        lines.append("skipped (no relevant documents judged): " + ", ".join(report.skipped))
     lines.append("")
-    for qid in sorted(report.queries):
-        q = report.queries[qid]
+    for q in queries + [mean]:
         for k in ks:
-            lines.append(f"P@{k}\t{qid}\t{q.precision[k]:.6f}")
-            lines.append(f"R@{k}\t{qid}\t{q.recall[k]:.6f}")
-            lines.append(f"F1@{k}\t{qid}\t{q.f1[k]:.6f}")
-        lines.append(f"RR\t{qid}\t{q.reciprocal_rank:.6f}")
-    for k in ks:
-        lines.append(f"P@{k}\tall\t{report.mean_precision.get(k, 0.0):.6f}")
-        lines.append(f"R@{k}\tall\t{report.mean_recall.get(k, 0.0):.6f}")
-        lines.append(f"F1@{k}\tall\t{report.mean_f1.get(k, 0.0):.6f}")
-    lines.append(f"MRR\tall\t{report.mrr:.6f}")
+            lines += [f"{name}@{k}\t{q.query_id}\t{values.get(k, 0.0):.6f}"
+                      for name, values in metrics(q)]
+        lines.append(f"{'MRR' if q is mean else 'RR'}\t{q.query_id}\t{q.reciprocal_rank:.6f}")
     return "\n".join(lines)

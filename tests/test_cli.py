@@ -396,6 +396,18 @@ class TestCompareCommand:
         assert out.startswith(f"{'method':<20}{'P@10':>10}")
         assert "rank bucket" in out
 
+    @pytest.mark.parametrize("top, bucket", [("5", "1-5: 7"), ("100000", "1-6: 7")])
+    def test_rank_buckets_end_at_the_longest_ranking(self, paths, capsys, top, bucket):
+        # the synthetic corpus has 6 documents, so no ranking is longer than 6
+        build_synthetic_index(paths)
+        capsys.readouterr()
+        assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
+                     "--qrels", paths["qrels"], "--top", top]) == 0
+        out = capsys.readouterr().out
+        assert out.split("by rank bucket:\n", 1)[1] == "".join(
+            f"  {scorer:<18}{bucket}\n"
+            for scorer in ("bm25", "commonwords_bm25", "fused", "tfidf_cos"))
+
     def test_unknown_scorer_listed(self, paths, capsys):
         build_synthetic_index(paths)
         code = main([

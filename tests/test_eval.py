@@ -292,6 +292,39 @@ def test_format_report_contains_machine_lines(synthetic_dir):
     assert "P@1\tq1\t1.000000" in text
 
 
+_REPORT_QUERY_ROWS = (
+    "query              P@1       P@3       R@1       R@3      F1@1      F1@3        RR\n"
+    "q1              0.0000    0.3333    0.0000    1.0000    0.0000    0.5000    0.5000\n"
+    "q2              1.0000    0.6667    0.5000    1.0000    0.6667    0.8000    1.0000\n"
+)
+_REPORT_MEAN_AND_MACHINE_LINES = (
+    "mean               P@1       P@3       R@1       R@3      F1@1      F1@3        RR\n"
+    "all             0.5000    0.5000    0.2500    1.0000    0.3333    0.6500    0.7500\n"
+    "skipped (no relevant documents judged): q3\n"
+    "\n"
+    "P@1\tq1\t0.000000\nR@1\tq1\t0.000000\nF1@1\tq1\t0.000000\n"
+    "P@3\tq1\t0.333333\nR@3\tq1\t1.000000\nF1@3\tq1\t0.500000\n"
+    "RR\tq1\t0.500000\n"
+    "P@1\tq2\t1.000000\nR@1\tq2\t0.500000\nF1@1\tq2\t0.666667\n"
+    "P@3\tq2\t0.666667\nR@3\tq2\t1.000000\nF1@3\tq2\t0.800000\n"
+    "RR\tq2\t1.000000\n"
+    "P@1\tall\t0.500000\nR@1\tall\t0.250000\nF1@1\tall\t0.333333\n"
+    "P@3\tall\t0.500000\nR@3\tall\t1.000000\nF1@3\tall\t0.650000\n"
+    "MRR\tall\t0.750000"
+)
+
+
+@pytest.mark.parametrize("per_query", [False, True])
+def test_format_report_text_is_fixed(per_query):
+    # two cutoffs, a skipped query, and the table with and without query rows
+    run = {"q1": [("a", 1.0), ("b", 0.5), ("c", 0.2)],
+           "q2": [("a", 2.0), ("c", 1.0), ("b", 0.5)],
+           "q3": [("a", 1.0)]}
+    report = evaluate_run(run, {"q1": {"b"}, "q2": {"a", "b"}, "q3": set()}, ks=[1, 3])
+    expected = (_REPORT_QUERY_ROWS if per_query else "") + _REPORT_MEAN_AND_MACHINE_LINES
+    assert format_report(report, per_query=per_query) == expected
+
+
 def test_fixture_script_reproduces_the_committed_fixture():
     # run as its docstring says, from the repository root with no PYTHONPATH,
     # but print the text instead of writing it under data/
