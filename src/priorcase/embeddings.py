@@ -83,19 +83,18 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     return EmbeddingStore(vectors)
 
 
-def dense_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two dense vectors; 0.0 when either norm is 0."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def aggregate_chunk_similarity(query_vec: np.ndarray, chunks: list[np.ndarray]) -> float:
-    """Mean cosine similarity between a query vector and document chunks."""
+    """Mean cosine similarity between a query vector and document chunks.
+
+    A chunk's cosine is 0.0 when either norm is 0.
+    """
     if not chunks:
         raise ValueError("document has no chunk vectors")
-    return sum(dense_cosine(query_vec, c) for c in chunks) / len(chunks)
+    nq = float(np.linalg.norm(query_vec))
+    cosines = []
+    for c in chunks:
+        if c.shape != query_vec.shape:
+            raise ValueError(f"dimension mismatch: {query_vec.shape[0]} vs {c.shape[0]}")
+        nc = float(np.linalg.norm(c))
+        cosines.append(0.0 if nq == 0.0 or nc == 0.0 else float(np.dot(query_vec, c) / (nq * nc)))
+    return sum(cosines) / len(chunks)

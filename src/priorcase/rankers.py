@@ -34,7 +34,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -445,7 +445,7 @@ class Searcher:
 
     def search_all(
         self,
-        queries: Sequence[tuple[str, str]],
+        queries: Iterable[tuple[str, str]],
         scorer: str,
         top_n: int = 100,
         workers: int = 1,
@@ -461,6 +461,7 @@ class Searcher:
             raise ValueError("top_n must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        queries = list(queries)
         seen: set[str] = set()
         for qid, _text in queries:
             if qid in seen:

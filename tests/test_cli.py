@@ -517,6 +517,39 @@ class TestConfigFile:
                        encoding="utf-8")
         assert main(["--config", str(cfg), "eval"]) == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, error", [
+        ("top_n = ten", "config value 'top_n' must be an integer, got 'ten'"),
+        ("preset = tiny", "unknown preset 'tiny'; expected none, standard or full"),
+        ("k = 1,x", "cutoff list must be comma-separated integers, got '1,x'"),
+    ])
+    def test_malformed_config_value_is_a_one_line_error(self, paths, capsys, setting, error):
+        build_synthetic_index(paths)
+        write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
+        out = paths["tmp"] / "out"
+        commands = {
+            "top_n": ["search", "--index", paths["index"], "--queries", paths["queries"],
+                      "--scorer", "bm25", "--out", str(out)],
+            "preset": ["index", "--corpus", paths["corpus"], "--out", str(out)],
+            "k": ["eval", "--run", paths["run"], "--qrels", paths["qrels"]],
+        }
+        cfg = paths["tmp"] / "bad.cfg"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg)] + commands[setting.split()[0]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_flag_wins_over_a_malformed_config_value(self, paths):
+        build_synthetic_index(paths)
+        cfg = paths["tmp"] / "top.cfg"
+        cfg.write_text("top_n = ten\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "search", "--index", paths["index"],
+                     "--queries", paths["queries"], "--scorer", "bm25",
+                     "--out", paths["run"], "--top", "3"]) == 0
+        assert all(len(r) == 3 for r in load_run(paths["run"]).values())
+
     def test_malformed_config_line(self, paths, capsys):
         cfg = paths["tmp"] / "bad.cfg"
         cfg.write_text("just some words\n", encoding="utf-8")

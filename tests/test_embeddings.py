@@ -6,7 +6,6 @@ import pytest
 from priorcase.embeddings import (
     EmbeddingStore,
     aggregate_chunk_similarity,
-    dense_cosine,
     load_embeddings,
 )
 
@@ -37,10 +36,11 @@ class TestAggregate:
 
 class TestDenseCosine:
     def test_orthogonal(self):
-        assert dense_cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        assert aggregate_chunk_similarity(np.array([1.0, 0.0]), [np.array([0.0, 2.0])]) == 0.0
 
     def test_antiparallel(self):
-        assert dense_cosine(np.array([1.0, 1.0]), np.array([-1.0, -1.0])) == pytest.approx(-1.0)
+        score = aggregate_chunk_similarity(np.array([1.0, 1.0]), [np.array([-1.0, -1.0])])
+        assert score == pytest.approx(-1.0)
 
     def test_nonnegative_vectors_stay_in_unit_interval(self):
         rng = np.random.default_rng(23)
@@ -83,6 +83,19 @@ class TestSidecar:
         with pytest.raises(ValueError, match=":2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a\t0\n", ":1: expected 'id<TAB>chunk_index<TAB>values'"),
+        ("a\t0\t\n", ":1: empty vector"),
+        ("a\t0\t1 nan\n", ":1: vector contains a non-finite value"),
+        ("", "no embeddings found"),
+        ("\n\n", "no embeddings found"),
+    ], ids=["two-columns", "empty-vector", "nan", "no-lines", "blank-lines"])
+    def test_malformed_sidecar_rejected(self, tmp_path, text, message):
+        path = tmp_path / "emb.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_embeddings(path)
+
     def test_non_contiguous_chunks_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("a\t0\t1 2\na\t2\t3 4\n", encoding="utf-8")
@@ -103,3 +116,7 @@ class TestSidecar:
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             EmbeddingStore({})
+
+    def test_store_mixing_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=r"mixes dimensions: \[2, 3\]"):
+            EmbeddingStore({"a": [np.ones(2)], "b": [np.ones(2), np.ones(3)]})

@@ -109,6 +109,14 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="cutoff 3 is given more than once"):
             evaluate_run(run, {"q1": {"rel"}}, ks=[1, 3, 3])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"ks": []}, "ks must be a non-empty list of integers >= 1"),
+        ({"f1_mode": "macro"}, "f1_mode must be 'per_query' or 'pooled'"),
+    ])
+    def test_bad_cutoffs_or_f1_mode_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_run({"q1": [("a", 1.0)]}, {"q1": {"a"}}, **kwargs)
+
     def test_empty_qrels_query_skipped_and_flagged(self):
         run = {"q1": [("rel", 1.0)], "q2": [("rel", 1.0)]}
         qrels = {"q1": {"rel"}, "q2": set()}
@@ -177,6 +185,18 @@ class TestInterchangeFiles:
         path.write_text("q1 0 d1 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="0 or 1"):
             load_qrels(path)
+
+    def test_qrels_with_only_blank_lines(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("\n  \n\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no judgments found"):
+            load_qrels(path)
+
+    def test_write_run_rejects_a_tag_with_a_space(self, tmp_path):
+        path = tmp_path / "out.run"
+        with pytest.raises(ValueError, match="run tag must be a single non-empty word"):
+            write_run({"q1": [("a", 1.0)]}, path, "my run")
+        assert not path.exists()
 
     def test_run_round_trip(self, tmp_path):
         run = {

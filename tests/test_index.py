@@ -153,11 +153,18 @@ class TestPersistence:
         persist_index(build_index(docs, fp), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_truncated_file(self, two_doc_index, tmp_path):
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: data[:-7], None),
+        (lambda data: data[:4] + bytes(4), "truncated"),
+        # re-sealed, so only the structure check can see the extra bytes
+        (lambda data: data[:-4] + bytes(3) + struct.pack("<I", zlib.crc32(data[:-4] + bytes(3))),
+         "trailing bytes"),
+    ], ids=["cut", "magic-and-4-bytes", "resealed-trailing-bytes"])
+    def test_truncated_file(self, two_doc_index, tmp_path, damage, message):
         path = tmp_path / "corpus.idx"
         persist_index(two_doc_index, path)
-        path.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(IndexFormatError):
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
     def test_bit_flip_detected(self, two_doc_index, tmp_path):
@@ -532,6 +539,17 @@ class TestIngestion:
         path = tmp_path / "queries.tsv"
         path.write_bytes(b"\xef\xbb\xbfq1\tcontract breach\nq2\tlease\n")
         assert read_queries_file(path) == [("q1", "contract breach"), ("q2", "lease")]
+
+    @pytest.mark.parametrize("text, message", [
+        ("q1\tlease\n\tnotice\n", ":2: invalid query id ''"),
+        ("\n\n", "no queries found"),
+        ("q1\tlease\nq2\trent\nq1\tnotice\n", ": duplicate query id 'q1'"),
+    ], ids=["invalid-id", "no-queries", "repeated-id"])
+    def test_read_queries_rejects_bad_files(self, tmp_path, text, message):
+        path = tmp_path / "queries.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_queries_file(path)
 
     def test_read_queries_rejects_missing_tab(self, tmp_path):
         path = tmp_path / "queries.tsv"

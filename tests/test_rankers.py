@@ -130,6 +130,14 @@ class TestBM25TermScore:
         with pytest.raises(ValueError):
             bm25_term_score(1, 0, 2, 4, 4.0)
 
+    @pytest.mark.parametrize("tf, avg_len, message", [
+        (-1, 4.0, "tf must be >= 0"),
+        (1, 0.0, "avg_len must be > 0"),
+    ])
+    def test_negative_tf_and_zero_avg_len_rejected(self, tf, avg_len, message):
+        with pytest.raises(ValueError, match=message):
+            bm25_term_score(tf, 1, 2, 4, avg_len)
+
     def test_atire_monotone_in_tf(self):
         scores = [bm25_term_score(tf, 1, 3, 5, 5.0) for tf in range(1, 20)]
         assert all(b > a for a, b in zip(scores, scores[1:]))
@@ -253,6 +261,19 @@ class TestScoreQuery:
         with pytest.raises(ValueError, match="corpus texts"):
             Searcher(small_index, config=None).score("rake_tfidf", ["a"], query_text="a b")
 
+    @pytest.mark.parametrize("query_text, message", [
+        (None, "rake_tfidf requires the raw query text"),
+        ("a b", "rake_tfidf requires the normalization pipeline configuration"),
+    ])
+    def test_rake_needs_query_text_and_config(self, small_index, query_text, message):
+        searcher = Searcher(small_index, config=None, corpus_texts={"d1": "a a b", "d2": "b c"})
+        with pytest.raises(ValueError, match=message):
+            searcher.score("rake_tfidf", ["a"], query_text=query_text)
+
+    def test_search_all_needs_config(self, small_index):
+        with pytest.raises(ValueError, match="search_all needs the pipeline configuration"):
+            Searcher(small_index).search_all([("q1", "a")], "bm25")
+
     def test_corpus_texts_must_be_the_indexed_documents(self, small_index):
         with pytest.raises(ValueError, match="'d3' is in the texts only"):
             Searcher(small_index, corpus_texts={"d1": "a", "d2": "b", "d3": "c"})
@@ -268,6 +289,17 @@ class TestScoreQuery:
         for workers in (1, 2):
             with pytest.raises(ValueError, match="^duplicate query id 'q1'$"):
                 searcher.search_all(queries, "bm25", workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_all_reads_a_one_shot_iterable(self, workers):
+        idx = build_index([("d1", ["law", "court"]), ("d2", ["tax"])],
+                          pipeline_fingerprint(PRESET_STANDARD))
+        searcher = Searcher(idx, config=PRESET_STANDARD)
+        queries = [("q1", "law"), ("q2", "tax court")]
+        expected = searcher.search_all(queries, "bm25", workers=workers)
+        assert list(expected) == ["q1", "q2"]
+        for one_shot in (zip(["q1", "q2"], ["law", "tax court"]), (q for q in queries)):
+            assert searcher.search_all(one_shot, "bm25", workers=workers) == expected
 
     def test_pipeline_mismatch_rejected(self):
         fp = pipeline_fingerprint(PRESET_STANDARD)
