@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \
         --workload ingest --workload legal-long --workload desk-short \
-        --pairs 10 --seconds 12 --trace 0 --seed 0 --out BENCH_17.json
+        --pairs 10 --seconds 12 --trace 0 --seed 0 --out BENCH_<pr>.json
 
 Run it from anywhere inside the repository.  Each revision is cloned from
 this repository (a local `git clone`, no network) into a temporary
