@@ -16,10 +16,14 @@ The output file holds `pr` (from the `BENCH_<pr>.json` name), `what`,
 `samples`) and `runs` (every run's gate line: `correct`, `attempted`,
 `failed` and each metric's value, keyed `<workload> trace<T> seed<S>`).
 
-It prints, per workload and metric, both sides' medians, the parent's
-interquartile range (`statistics.quantiles`' default, exclusive method)
-and in how many pairs the change read higher or lower.  It decides no gate.  The exit code is 1 when any run did not
-print `"correct": true`.
+It prints, per workload and metric, both sides' medians, both sides'
+interquartile ranges (`statistics.quantiles`' default, exclusive method)
+and in how many pairs the change read higher or lower.  It decides no
+gate.  The exit code is 1 when any run did not print `"correct": true`.
+
+An A/A batch, `--parent HEAD --change HEAD`, runs one commit against
+itself: its two IQR columns and pair counts show how far a gate spreads
+on this host with no change at all.
 """
 
 from __future__ import annotations
@@ -98,9 +102,18 @@ def read_report(checkout: Path, name: str) -> dict | None:
     return report
 
 
+def iqr(values: tuple[float, ...]) -> float:
+    """The interquartile range, exclusive method; NaN for one value."""
+    if len(values) < 2:
+        return math.nan
+    q1, _q2, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def summary(runs: dict[str, list[dict]], key: str) -> list[str]:
-    """One line per metric: both medians, the parent's IQR and the pair count each way."""
-    lines = [key, f"  {'metric':<20}{'parent':>12}{'change':>12}{'parent IQR':>12}  pairs"]
+    """One line per metric: both medians, both IQRs and the pair count each way."""
+    lines = [key, f"  {'metric':<20}{'parent':>12}{'change':>12}{'parent IQR':>12}"
+                  f"{'change IQR':>12}  pairs"]
     parent, change = runs["parent"][key], runs["change"][key]
     for name in dict.fromkeys(name for run in parent + change for name in run["metrics"]):
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
@@ -108,11 +121,10 @@ def summary(runs: dict[str, list[dict]], key: str) -> list[str]:
         if not pairs:
             continue
         before, after = zip(*pairs)
-        q1, _q2, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else [math.nan] * 3
         higher = sum(c > p for p, c in pairs)
         lower = sum(c < p for p, c in pairs)
         lines.append(f"  {name:<20}{statistics.median(before):>12.6g}"
-                     f"{statistics.median(after):>12.6g}{q3 - q1:>12.6g}"
+                     f"{statistics.median(after):>12.6g}{iqr(before):>12.6g}{iqr(after):>12.6g}"
                      f"  higher in {higher}, lower in {lower} of {len(pairs)}")
     return lines
 

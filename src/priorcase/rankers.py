@@ -17,14 +17,15 @@ ties broken by ascending document id.  All scorers are pure functions of
 (query, index, parameters), so scoring is safe to run concurrently.
 
 Each lexical scorer gathers the postings of all its query terms once per
-query, each term's slice kept whole and in first-occurrence order;
+query, joining each term's whole slice in first-occurrence order;
 `fused` and `commonwords_bm25` share that one gather between their two
-halves.  Every posting's impact is one array expression, added into one
-slot per document with one `np.bincount`.  Bincount adds in input order
-from 0.0, so each document sees the same float additions as a term-by-
-term accumulation.  The corpus statistics the scorers share are computed
-once, when the `Searcher` is built; among them is one IDF table by df
-per BM25 variant, and TF-IDF reads the ATIRE one.
+halves.  Every posting's impact is computed in place, in the scalar
+formula's order, and added into one slot per document with one
+`np.bincount`, which adds in input order from 0.0: each document sees
+the same float additions as a term-by-term accumulation.  The Searcher
+computes the shared statistics once: per BM25 variant the IDF and
+`idf * (k1 + 1)` tables by df, `k1 * norm` by document, and the TF-IDF
+document norms.
 """
 
 from __future__ import annotations
@@ -111,13 +112,11 @@ def _bm25_idf(
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def _bm25_impact(tf, norm, idf, params: BM25Params, variant: Variant):
-    """Impact of a term with frequency `tf` in documents of length norm `norm`.
+def _bm25_impact(tf: int, norm: float, idf: float, params: BM25Params, variant: Variant) -> float:
+    """Impact of a term with frequency `tf` in a document of length norm `norm`.
 
-    `tf`, `norm` and `idf` are scalars or arrays over postings (an
-    array `idf` repeats each term's IDF over its postings); either way
-    the float64 operations run in the same order, so the scalar and
-    array paths give identical bits.
+    `Searcher._impacts` runs the same float64 operations in the same
+    order over arrays of postings, so both give identical bits.
     """
     k1 = params.k1
     if variant is Variant.BM25L:
@@ -262,8 +261,13 @@ class Searcher:
         dfs = range(1, n + 1)
         self._idf_by_df = {v: np.array([math.nan] + [
             _bm25_idf(v, df, n, params.epsilon, avg_idf) for df in dfs]) for v in Variant}
+        # the per-posting factors that do not depend on the query
+        self._idf_k1 = {v: table * (params.k1 + 1.0) for v, table in self._idf_by_df.items()}
+        self._k1_norm = params.k1 * self._norm
         idf = self._idf_by_df[Variant.ATIRE][self._df]
         self._sq_norms = self._squared_norms(idf)
+        self._doc_norms = np.sqrt(self._sq_norms)
+        self._nonzero = self._sq_norms > 0.0
         self._rake_vocab: frozenset[str] = frozenset()
         self._rake_sq_norms = np.zeros(n)
         if corpus_texts is not None and config is not None:
@@ -278,18 +282,19 @@ class Searcher:
 
     def _postings(self, terms: Iterable[str]) -> _Postings:
         """The in-vocabulary terms of `terms` in first-occurrence (`Counter`)
-        order: each one's count and df, then the document position and tf
-        of every posting, each term's slice whole and in that order."""
+        order: each one's count (a float, so that multiplying by it casts
+        nothing) and df, then the document position and tf of every
+        posting, each term's slice whole and in that order."""
         idx = self.index
         term_ids = idx.term_ids
         pairs = [(term_ids[t], c) for t, c in Counter(terms).items() if t in term_ids]
         tids, counts = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         df = self._df[tids]
-        # the k-th gathered posting belongs to a term whose slice starts at
-        # offsets[tid] and whose first gathered posting is number first[tid]
-        first = np.cumsum(df) - df
-        at = np.arange(df.sum()) + np.repeat(idx.offsets[tids] - first, df)
-        return counts, df, idx.positions[at], idx.tfs[at]
+        spans = [slice(a, a + n) for a, n in zip(idx.offsets[tids].tolist(), df.tolist())]
+        spans = spans or [slice(0, 0)]  # np.concatenate needs at least one array
+        return (counts.astype(np.float64), df,
+                np.concatenate([idx.positions[s] for s in spans]),
+                np.concatenate([idx.tfs[s] for s in spans]))
 
     def _squared_norms(self, idf: np.ndarray) -> np.ndarray:
         """Per-document sums of squared TF-IDF weights, term id `t` weighing
@@ -340,14 +345,40 @@ class Searcher:
 
     # -- individual scorers --------------------------------------------------
 
-    def _bm25(self, postings: _Postings, variant: Variant) -> np.ndarray:
+    def _impacts(self, postings: _Postings, variant: Variant) -> np.ndarray:
+        """Each posting's `count * bm25_term_score(...)`: `_bm25_impact`'s
+        float64 operations in its order, the query-free factors from tables."""
         counts, df, pos, tf = postings
-        idf = np.repeat(self._idf_by_df[variant][df], df)
-        impact = _bm25_impact(tf, self._norm[pos], idf, self.params, variant)
-        return np.bincount(pos, weights=np.repeat(counts, df) * impact,
+        k1 = self.params.k1
+        # `take` gathers by int32 positions about twice as fast as indexing
+        if variant is Variant.BM25L:
+            delta = self.params.delta_for(variant)
+            ctd = tf / self._norm.take(pos)
+            den = ctd + k1
+            den += delta
+            ctd += delta
+            imp = np.repeat(self._idf_k1[variant][df], df)
+            imp *= ctd
+            imp /= den
+        elif variant is Variant.BM25PLUS:
+            imp = tf * (k1 + 1.0)
+            imp /= self._k1_norm.take(pos) + tf
+            imp += self.params.delta_for(variant)
+            imp *= np.repeat(self._idf_by_df[variant][df], df)
+        else:
+            imp = np.repeat(self._idf_k1[variant][df], df)
+            imp *= tf
+            den = self._k1_norm.take(pos)
+            den += tf
+            imp /= den
+        imp *= np.repeat(counts, df)
+        return imp
+
+    def _bm25(self, postings: _Postings, variant: Variant) -> np.ndarray:
+        return np.bincount(postings[2], weights=self._impacts(postings, variant),
                            minlength=self.index.n_docs)
 
-    def _tfidf(self, postings: _Postings, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    def _tfidf(self, postings: _Postings, doc_norms: np.ndarray | None = None) -> np.ndarray:
         # a df = N term weighs ln 1 = 0.0, and every weight is >= 0, so its
         # postings add +0.0 and leave each sum's bits as they are
         counts, df, pos, tf = postings
@@ -357,12 +388,15 @@ class Searcher:
         query_norm = math.sqrt(sum(w * w for w in weight.tolist()))
         if query_norm == 0.0:
             return scores
-        impacts = np.repeat(weight, df) * tf * np.repeat(idf, df)
-        dots = np.bincount(pos, weights=impacts, minlength=self.index.n_docs)
-        if sq_norms is None:
-            sq_norms = self._sq_norms
-        nonzero = sq_norms > 0.0
-        scores[nonzero] = dots[nonzero] / (query_norm * np.sqrt(sq_norms[nonzero]))
+        imp = np.repeat(weight, df)
+        imp *= tf
+        imp *= np.repeat(idf, df)
+        dots = np.bincount(pos, weights=imp, minlength=self.index.n_docs)
+        if doc_norms is None:
+            doc_norms, nonzero = self._doc_norms, self._nonzero
+        else:
+            nonzero = doc_norms > 0.0
+        np.divide(dots, doc_norms * query_norm, out=scores, where=nonzero)
         return scores
 
     def _fused(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
@@ -384,7 +418,7 @@ class Searcher:
         sq_norms = self._rake_sq_norms + np.bincount(pos, weights=w * w,
                                                      minlength=self.index.n_docs)
         kept = [t for t in query if t in base or t in query_words]
-        return self._tfidf(self._postings(kept), sq_norms)
+        return self._tfidf(self._postings(kept), np.sqrt(sq_norms))
 
     def _commonwords(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
         postings = self._postings(query)
@@ -490,7 +524,7 @@ def _top_positions(scores: np.ndarray, top_n: int) -> np.ndarray:
     lowest positions (ids) win the ties at the cut-off.
     """
     if top_n < scores.size:
-        cut = scores[np.argpartition(-scores, top_n - 1)[top_n - 1]]
+        cut = np.partition(scores, -top_n)[-top_n]
         candidates = np.flatnonzero(scores >= cut)
     else:
         candidates = np.arange(scores.size)

@@ -86,8 +86,17 @@ def test_output_file_form(tmp_path, capsys):
          "metrics": {"setup_s": 3.5}},
     ]
     assert [run["metrics"]["setup_s"] for run in document["parent"]["runs"][key]] == [1.0, 4.0]
+    header, last = capsys.readouterr().out.splitlines()[-2:]
+    assert header.split() == "metric parent change parent IQR change IQR pairs".split()
+    # parent runs 1.0 and 4.0, change runs 2.5 and 3.5: IQRs 4.5 and 1.5
+    assert last.split() == "setup_s 2.5 3 4.5 1.5 higher in 1, lower in 1 of 2".split()
+
+
+def test_one_pair_has_no_spread(tmp_path, capsys):
+    code, _document = run_script(tmp_path, FakeBench(), pairs=1, workloads=("ingest",))
+    assert code == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last.split() == "setup_s 2.5 3 4.5 higher in 1, lower in 1 of 2".split()
+    assert last.split() == "setup_s 1 2.5 nan nan higher in 1, lower in 0 of 1".split()
 
 
 @pytest.mark.parametrize("broken_run", [1, 4])

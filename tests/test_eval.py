@@ -56,6 +56,10 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k(["a"], set(), 5)
 
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            recall_at_k(["a"], {"a"}, 0)
+
 
 class TestF1:
     def test_hand_value(self):

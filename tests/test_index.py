@@ -4,6 +4,7 @@ import builtins
 import errno
 import os
 import random
+import re
 import struct
 import zlib
 
@@ -133,6 +134,11 @@ class TestBuild:
         assert a.postings == {"x": [("d1", 1)], "y": [("d2", 1)]}
         assert a != b
         assert a == build_index([("d2", ["y"]), ("d1", ["x"])], "fp")
+
+    def test_equality_with_a_non_index_is_not_implemented(self):
+        a = build_index([("d1", ["x"])], "fp")
+        assert a.__eq__(3) is NotImplemented
+        assert (a == 3) is False
 
 
 class TestPersistence:
@@ -515,6 +521,10 @@ class TestIngestion:
     def test_read_corpus_dir_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_corpus_dir(tmp_path / "absent")
+
+    def test_read_corpus_dir_empty(self, tmp_path):
+        with pytest.raises(ValueError, match=f"contains no documents: {re.escape(str(tmp_path))}$"):
+            read_corpus_dir(tmp_path)
 
     def test_read_corpus_dir_rejects_duplicate_ids_before_reading(self, tmp_path):
         # no file is valid UTF-8: reading any of them would raise

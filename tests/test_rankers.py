@@ -126,6 +126,10 @@ class TestBM25TermScore:
         got = bm25_term_score(1, 1, 2, 4, 4.0, variant=Variant.BM25PLUS)
         assert got == pytest.approx(2 * math.log(3), abs=1e-12)
 
+    def test_variant_must_be_a_variant(self):
+        with pytest.raises(ValueError, match="unknown variant: 'atire'"):
+            bm25_term_score(1, 1, 2, 4, 4.0, variant="atire")
+
     def test_df_zero_rejected(self):
         with pytest.raises(ValueError):
             bm25_term_score(1, 0, 2, 4, 4.0)
@@ -650,6 +654,69 @@ class TestExactReference:
                     for df in range(1, n + 1):
                         assert tables[variant][df] == _bm25_idf(
                             variant, df, n, params.epsilon, avg_idf), (variant, df)
+
+
+def assert_impacts_equal_scalar_formula(index, query, params):
+    """`Searcher._impacts` gives each posting `count * bm25_term_score(...)`,
+    bit for bit, under every variant."""
+    searcher = Searcher(index, params=params)
+    postings = searcher._postings(query)
+    counts, df, pos, tf = postings
+    avg_idf = okapi_mean_idf(index)
+    lengths = index.lengths.tolist()
+    per_posting = list(zip(np.repeat(counts, df).tolist(), np.repeat(df, df).tolist(),
+                           pos.tolist(), tf.tolist()))
+    for variant in Variant:
+        want = np.array([count * bm25_term_score(t, d, index.n_docs, lengths[p], index.avg_len,
+                                                 params, variant, avg_idf)
+                         for count, d, p, t in per_posting], dtype=np.float64)
+        assert searcher._impacts(postings, variant).tobytes() == want.tobytes(), variant
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(CONTENT_WORDS[:8]), min_size=1, max_size=12),
+                min_size=1, max_size=8),
+       st.lists(st.sampled_from(CONTENT_WORDS[:10]), max_size=8),
+       st.sampled_from(TestExactReference.PARAMS))
+def test_impacts_equal_scalar_formula(word_lists, query, params):
+    index = build_index([(f"d{i}", words) for i, words in enumerate(word_lists)], "fp")
+    assert_impacts_equal_scalar_formula(index, query, params)
+
+
+@pytest.mark.parametrize("params", TestExactReference.PARAMS)
+@pytest.mark.parametrize("docs, mean_idf_sign", [
+    # "court" is in 3 of 4 documents: its Okapi IDF is floored, to a positive floor
+    ([["court", "appeal"], ["court", "tax"], ["court", "lease"], ["deed"]], 1.0),
+    # every term is in every document: the mean IDF, and so the floor, is negative
+    ([["court", "appeal"], ["appeal", "court", "court"], ["court", "appeal"]], -1.0),
+])
+def test_impacts_equal_scalar_formula_under_the_okapi_floor(docs, mean_idf_sign, params):
+    index = build_index([(f"d{i}", words) for i, words in enumerate(docs)], "fp")
+    assert math.copysign(1.0, okapi_mean_idf(index)) == mean_idf_sign
+    assert max(np.diff(index.offsets)) > index.n_docs / 2
+    assert_impacts_equal_scalar_formula(index, ["court", "appeal", "court", "zzyzx"], params)
+
+
+@pytest.mark.parametrize("scorer", LEXICAL)
+def test_query_without_index_terms_scores_float_zeros(scorer):
+    raw = {"d1": "court appeal", "d2": "tax lease", "d3": "court tax"}
+    index = build_index([(d, tokenize_normalize(t)) for d, t in raw.items()],
+                        pipeline_fingerprint(PRESET_STANDARD))
+    searcher = Searcher(index, config=PRESET_STANDARD, corpus_texts=raw)
+    for text in ("", "zzyzx qwerty zzyzx"):
+        scores = searcher._scores(scorer, tokenize_normalize(text), "q", text)
+        assert scores.tobytes() == np.zeros(3).tobytes(), (scorer, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.75, 3.0]), min_size=2, max_size=40),
+       st.sampled_from([1, -1, 0, 5]))
+def test_top_positions_equal_stable_sort_prefix(values, from_size):
+    # top_n is 1, or size - 1, size or size + 5
+    scores = np.array(values)
+    top_n = from_size if from_size == 1 else scores.size + from_size
+    want = np.argsort(-scores, kind="stable")[:top_n]
+    assert rankers_module._top_positions(scores, top_n).tolist() == want.tolist()
 
 
 class TestOkapiNegativeFloor:
