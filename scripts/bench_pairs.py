@@ -1,17 +1,19 @@
 """Run the benchmark on two commits in alternating pairs and record every run.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \
-        --workload ingest --workload legal-long --workload desk-short \
+        --workload ingest --workload legal-long --workload desk-short:20 \
         --pairs 10 --seconds 12 --trace 0 --seed 0 --out BENCH_<pr>.json
 
-Run it from anywhere inside the repository.  Each revision is cloned from
+Run it from anywhere inside the repository.  `--workload NAME:N` runs N
+pairs of that workload; a bare `NAME` runs `--pairs` of them.  Each revision is cloned from
 this repository (a local `git clone`, no network) into a temporary
 directory, and `perfbench/run.py` runs there, one run at a time.  For each
 workload in turn, odd pairs run the parent first and even pairs the
 change first.
 
 The output file holds `pr` (from the `BENCH_<pr>.json` name), `what`,
-`command`, `host`, `note`, and for each side its `git_rev`, `src_loc`,
+`command`, `host`, `note` (which names each workload's pair count), and
+for each side its `git_rev`, `src_loc`,
 `reports` (pair 1's `.bench_out/` report of each workload, without
 `samples`) and `runs` (every run's gate line: `correct`, `attempted`,
 `failed` and each metric's value, keyed `<workload> trace<T> seed<S>`).
@@ -41,16 +43,32 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WORKLOADS = ("desk-short", "legal-long", "ingest")
+
+
+def workload_arg(value: str) -> tuple[str, int | None]:
+    """`NAME` or `NAME:PAIRS`; the count is None when it is not given."""
+    name, colon, count = value.partition(":")
+    if name not in WORKLOADS:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {name!r}; expected one of {', '.join(WORKLOADS)}")
+    if not colon:
+        return name, None
+    if not count.isdigit() or int(count) < 1:
+        raise argparse.ArgumentTypeError(f"pair count must be an integer >= 1, got {count!r}")
+    return name, int(count)
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     parser.add_argument("--parent", required=True, metavar="REV")
     parser.add_argument("--change", required=True, metavar="REV")
-    parser.add_argument("--workload", action="append", required=True,
-                        choices=["desk-short", "legal-long", "ingest"],
-                        help="repeat to run several workloads, in the order given")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", required=True, type=workload_arg,
+                        metavar="NAME[:PAIRS]",
+                        help=f"one of {', '.join(WORKLOADS)}, with its own pair count if "
+                             "given; repeat to run several workloads, in the order given")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs of each workload given without a count")
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--seed", type=int, default=0)
@@ -60,6 +78,12 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    names = [name for name, _count in args.workload]
+    for name in names:
+        if names.count(name) > 1:
+            parser.error(f"workload {name} is given more than once")
+    args.workload = [(name, args.pairs if count is None else count)
+                     for name, count in args.workload]
     return args
 
 
@@ -141,12 +165,12 @@ def main(argv: list[str] | None = None,
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             checkout(getattr(args, side), dirs[side])
-        for workload in args.workload:
+        for workload, n_pairs in args.workload:
             key = f"{workload} trace{args.trace} seed{args.seed}"
             report_name = f"{workload}-{args.scale}-seed{args.seed}-trace{args.trace}.json"
             bench_argv = ["--workload", workload, "--seed", str(args.seed),
                           "--seconds", str(args.seconds), "--trace", str(args.trace), *scale]
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, n_pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 for side in order:
                     facts, gate = parse_output(run(dirs[side], bench_argv))
@@ -170,18 +194,18 @@ def main(argv: list[str] | None = None,
     match = re.fullmatch(r"BENCH_(\d+)\.json", Path(args.out).name)
     command = (f"python3 perfbench/run.py --workload W --seed {args.seed} "
                f"--seconds {args.seconds:g} --trace {args.trace}" + " --scale smoke" * bool(scale))
+    workloads = ", ".join(f"{name} ({n} pairs)" for name, n in args.workload)
     document = {
         "pr": int(match.group(1)) if match else None,
         "what": args.what,
         "command": command,
         "host": (f"{host.get('nproc', '?')} CPUs {host.get('machine', '?')}, Python "
                  f"{host.get('python', '?')}, numpy {host.get('numpy', '?')}"),
-        "note": (f"W is each of {', '.join(args.workload)}, {args.pairs} pairs each, in that "
-                 "order. runs holds the gate line of every run, keyed <workload> trace<T> "
-                 "seed<S>, in pair order, with only each metric's value; first names the side "
-                 "that ran first in that pair (the parent in odd pairs). Both sides ran from "
-                 "clean clones of their commits, one run at a time. reports holds pair 1's "
-                 ".bench_out/ report without samples."),
+        "note": (f"W is each of {workloads}, in that order. runs holds the gate line of every "
+                 "run, keyed <workload> trace<T> seed<S>, in pair order, with only each "
+                 "metric's value; first names the side that ran first in that pair (the parent "
+                 "in odd pairs). Both sides ran from clean clones of their commits, one run at a "
+                 "time. reports holds pair 1's .bench_out/ report without samples."),
         **record,
     }
     Path(args.out).write_text(json.dumps(document, indent=1) + "\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -173,9 +174,11 @@ def load_run(path: str | Path) -> Run:
     """Read `query_id Q0 doc_id rank score tag` lines into a run.
 
     Validates that each query's ranks are contiguous from 1 and that no
-    document is listed twice for the same query.
+    document is listed twice for the same query.  Each line appends to
+    its query's rank, id and score columns; a query's rows are sorted by
+    (rank, id, score) only when its ranks are not already 1, 2, ...
     """
-    rows: dict[str, list[tuple[int, str, float]]] = {}
+    columns: dict[str, tuple[list[int], list[str], list[float]]] = {}
     with open(path, encoding="utf-8-sig") as fh:
         # text mode turns every line ending into "\n", so these are its lines
         lines = fh.read().split("\n")
@@ -186,22 +189,30 @@ def load_run(path: str | Path) -> Run:
                     f"{path}:{lineno}: expected 'query_id Q0 doc_id rank score tag'"
                 )
             continue
+        qid, _q0, doc_id, rank, score, _tag = parts
         try:
-            entry = (int(parts[3]), parts[2], float(parts[4]))
-            if not math.isfinite(entry[2]):
+            rank, score = int(rank), float(score)
+            if not math.isfinite(score):
                 raise ValueError
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed rank or score") from None
-        rows.setdefault(parts[0], []).append(entry)
-    if not rows:
+        try:
+            ranks, doc_ids, scores = columns[qid]
+        except KeyError:
+            ranks, doc_ids, scores = columns[qid] = ([], [], [])
+        ranks.append(rank)
+        doc_ids.append(doc_id)
+        scores.append(score)
+    if not columns:
         raise ValueError(f"no results found in {path}")
 
     run: Run = {}
-    for qid, entries in rows.items():
-        entries.sort()
-        ranks, doc_ids, scores = zip(*entries)
-        if ranks != tuple(range(1, len(ranks) + 1)):
-            raise ValueError(f"{path}: ranks for query {qid!r} are not contiguous from 1")
+    for qid, (ranks, doc_ids, scores) in columns.items():
+        in_order = list(range(1, len(ranks) + 1))
+        if ranks != in_order:
+            ranks, doc_ids, scores = map(list, zip(*sorted(zip(ranks, doc_ids, scores))))
+            if ranks != in_order:
+                raise ValueError(f"{path}: ranks for query {qid!r} are not contiguous from 1")
         if len(set(doc_ids)) != len(doc_ids):
             raise ValueError(f"{path}: query {qid!r} lists a document more than once")
         run[qid] = list(zip(doc_ids, scores))
@@ -211,25 +222,37 @@ def load_run(path: str | Path) -> Run:
 def write_run(run: Run, path: str | Path, tag: str) -> None:
     """Write a run file, queries in ascending id order, ranks from 1.
 
+    Each line reads `f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"`.
     Rejects, before touching `path`, any ranking `load_run` could not read
-    back: ids that are not single words, a document listed twice, or a
-    score that is not finite.
+    back: an entry that is not a (doc_id, score) pair, ids that are not
+    single words, a document listed twice, or a score that is not finite.
+    Each query is formatted with one `%` template, built from per-rank
+    line tails made once per call.
     """
     if not tag or any(ch.isspace() for ch in tag):
         raise ValueError(f"run tag must be a single non-empty word, got {tag!r}")
     for qid, ranking in run.items():
+        if not set(map(len, ranking)) <= {2}:
+            raise ValueError(f"cannot write query {qid!r}: every entry must be a "
+                             "(doc_id, score) pair")
         doc_ids, scores = zip(*ranking) if ranking else ((), ())
         if (qid.split() != [qid] or " ".join(doc_ids).split() != list(doc_ids)
                 or len(set(doc_ids)) != len(doc_ids) or not all(map(math.isfinite, scores))):
             raise ValueError(f"cannot write query {qid!r}: its id and document ids must be "
                              "single words, each document listed once, with finite scores")
-    lines = [
-        f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"
-        for qid in sorted(run)
-        for rank, (doc_id, score) in enumerate(run[qid], start=1)
-    ]
+    # `%` is doubled in the ids and the tag so that it reaches the file as itself
+    tag = tag.replace("%", "%%")
+    longest = max(map(len, run.values()), default=0)
+    tails = [f" {rank} %.6f {tag}\n" for rank in range(1, longest + 1)]
+    text = []
+    for qid in sorted(run):
+        ranking = run[qid]
+        if ranking:
+            head = qid.replace("%", "%%") + " Q0 %s"
+            template = head + head.join(tails[:len(ranking)])
+            text.append(template % tuple(chain.from_iterable(ranking)))
     with atomic_open(path) as out:
-        out.write("".join(lines))
+        out.write("".join(text))
 
 
 def format_report(report: EvalReport, per_query: bool = False) -> str:

@@ -17,15 +17,18 @@ ties broken by ascending document id.  All scorers are pure functions of
 (query, index, parameters), so scoring is safe to run concurrently.
 
 Each lexical scorer gathers the postings of all its query terms once per
-query, joining each term's whole slice in first-occurrence order;
+query, joining each term's whole slice in first-occurrence order with
+one `b"".join` of memoryview slices, read back with `np.frombuffer`;
 `fused` and `commonwords_bm25` share that one gather between their two
 halves.  Every posting's impact is computed in place, in the scalar
-formula's order, and added into one slot per document with one
-`np.bincount`, which adds in input order from 0.0: each document sees
-the same float additions as a term-by-term accumulation.  The Searcher
-computes the shared statistics once: per BM25 variant the IDF and
-`idf * (k1 + 1)` tables by df, `k1 * norm` by document, and the TF-IDF
-document norms.
+formula's order (the multiply by the query count is skipped when every
+count is 1, which changes no bit), and added into one slot per document
+with one `np.bincount`, which adds in input order from 0.0: each
+document sees the same float additions as a term-by-term accumulation.
+The Searcher computes the shared statistics once: per BM25 variant the
+IDF and `idf * (k1 + 1)` tables by df, `k1 * norm` by document, and the
+TF-IDF document norms.  A ranking takes its document ids with one fancy
+index into an object array of the ids.
 """
 
 from __future__ import annotations
@@ -253,6 +256,10 @@ class Searcher:
         self.corpus_texts = corpus_texts
 
         self._df = np.diff(index.offsets)
+        # the gather joins byte slices of these; a ranking indexes the ids at once
+        self._positions = memoryview(index.positions)
+        self._tfs = memoryview(index.tfs)
+        self._doc_ids = np.array(index.doc_ids, dtype=object)
         self._norm = 1.0 - params.b + params.b * (index.lengths / index.avg_len)
         n = index.n_docs
         avg_idf = okapi_mean_idf(index)
@@ -285,16 +292,18 @@ class Searcher:
         order: each one's count (a float, so that multiplying by it casts
         nothing) and df, then the document position and tf of every
         posting, each term's slice whole and in that order."""
-        idx = self.index
-        term_ids = idx.term_ids
-        pairs = [(term_ids[t], c) for t, c in Counter(terms).items() if t in term_ids]
-        tids, counts = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        term_ids = self.index.term_ids
+        counter = Counter(terms)
+        kept = [t for t in counter if t in term_ids]
+        tids = np.fromiter(map(term_ids.__getitem__, kept), np.intp, len(kept))
+        counts = np.fromiter(map(counter.__getitem__, kept), np.float64, len(kept))
         df = self._df[tids]
-        spans = [slice(a, a + n) for a, n in zip(idx.offsets[tids].tolist(), df.tolist())]
-        spans = spans or [slice(0, 0)]  # np.concatenate needs at least one array
-        return (counts.astype(np.float64), df,
-                np.concatenate([idx.positions[s] for s in spans]),
-                np.concatenate([idx.tfs[s] for s in spans]))
+        offsets = self.index.offsets
+        spans = [slice(a, b) for a, b in zip(offsets[tids].tolist(), offsets[tids + 1].tolist())]
+        pos, tf = self._positions, self._tfs
+        return (counts, df,
+                np.frombuffer(b"".join([pos[s] for s in spans]), np.int32),
+                np.frombuffer(b"".join([tf[s] for s in spans]), np.int32))
 
     def _squared_norms(self, idf: np.ndarray) -> np.ndarray:
         """Per-document sums of squared TF-IDF weights, term id `t` weighing
@@ -371,7 +380,8 @@ class Searcher:
             den = self._k1_norm.take(pos)
             den += tf
             imp /= den
-        imp *= np.repeat(counts, df)
+        if (counts != 1.0).any():  # multiplying by 1.0 changes no bit
+            imp *= np.repeat(counts, df)
         return imp
 
     def _bm25(self, postings: _Postings, variant: Variant) -> np.ndarray:
@@ -463,8 +473,7 @@ class Searcher:
         return fn(self, query, query_id, query_text).astype(np.float64, copy=False)
 
     def _ranking(self, scores: np.ndarray, order: np.ndarray) -> Ranking:
-        ids = self.index.doc_ids
-        return [(ids[p], s) for p, s in zip(order.tolist(), scores[order].tolist())]
+        return list(zip(self._doc_ids[order].tolist(), scores[order].tolist()))
 
     def score(
         self,

@@ -63,6 +63,29 @@ def test_sides_alternate_which_runs_first(tmp_path):
                           + [("ingest", rev) for rev in one_workload])
 
 
+def test_each_workload_takes_its_own_pair_count(tmp_path):
+    fake = FakeBench()
+    code, document = run_script(tmp_path, fake, pairs=2, workloads=("desk-short:3", "ingest"))
+    assert code == 0
+    assert fake.calls == ([("desk-short", rev) for rev in ["old", "new", "new", "old", "old", "new"]]
+                          + [("ingest", rev) for rev in ["old", "new", "new", "old"]])
+    assert document["note"].startswith(
+        "W is each of desk-short (3 pairs), ingest (2 pairs), in that order. ")
+    runs = document["change"]["runs"]
+    assert [run["pair"] for run in runs["desk-short trace0 seed0"]] == [1, 2, 3]
+    assert [run["pair"] for run in runs["ingest trace0 seed0"]] == [1, 2]
+
+
+@pytest.mark.parametrize("workloads", [("desk-short:0",), ("desk-short:x",), ("desk-short:",),
+                                       ("nope:2",), ("ingest", "ingest:3")])
+def test_bad_workload_arguments_are_rejected(tmp_path, workloads):
+    fake = FakeBench()
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(tmp_path, fake, workloads=workloads)
+    assert exit_info.value.code == 2
+    assert fake.calls == []
+
+
 def test_output_file_form(tmp_path, capsys):
     code, document = run_script(tmp_path, FakeBench(), pairs=2, workloads=("ingest",))
     assert code == 0
