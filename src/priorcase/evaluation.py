@@ -14,6 +14,7 @@ File formats follow the usual retrieval-interchange layouts:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -178,7 +179,8 @@ def load_run(path: str | Path) -> Run:
     its query's rank, id and score columns; a query's rows are sorted by
     (rank, id, score) only when its ranks are not already 1, 2, ...
     """
-    columns: dict[str, tuple[list[int], list[str], list[float]]] = {}
+    columns: dict[str, tuple[list[int], list[str], list[float]]] = defaultdict(
+        lambda: ([], [], []))
     with open(path, encoding="utf-8-sig") as fh:
         # text mode turns every line ending into "\n", so these are its lines
         lines = fh.read().split("\n")
@@ -196,10 +198,7 @@ def load_run(path: str | Path) -> Run:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed rank or score") from None
-        try:
-            ranks, doc_ids, scores = columns[qid]
-        except KeyError:
-            ranks, doc_ids, scores = columns[qid] = ([], [], [])
+        ranks, doc_ids, scores = columns[qid]
         ranks.append(rank)
         doc_ids.append(doc_id)
         scores.append(score)

@@ -292,18 +292,17 @@ class Searcher:
         order: each one's count (a float, so that multiplying by it casts
         nothing) and df, then the document position and tf of every
         posting, each term's slice whole and in that order."""
-        term_ids = self.index.term_ids
+        idx = self.index
+        term_ids = idx.term_ids
         counter = Counter(terms)
         kept = [t for t in counter if t in term_ids]
         tids = np.fromiter(map(term_ids.__getitem__, kept), np.intp, len(kept))
         counts = np.fromiter(map(counter.__getitem__, kept), np.float64, len(kept))
-        df = self._df[tids]
-        offsets = self.index.offsets
-        spans = [slice(a, b) for a, b in zip(offsets[tids].tolist(), offsets[tids + 1].tolist())]
+        spans = list(map(slice, idx.offsets[tids].tolist(), idx.offsets[tids + 1].tolist()))
         pos, tf = self._positions, self._tfs
-        return (counts, df,
-                np.frombuffer(b"".join([pos[s] for s in spans]), np.int32),
-                np.frombuffer(b"".join([tf[s] for s in spans]), np.int32))
+        return (counts, self._df[tids],
+                np.frombuffer(b"".join(map(pos.__getitem__, spans)), idx.positions.dtype),
+                np.frombuffer(b"".join(map(tf.__getitem__, spans)), idx.tfs.dtype))
 
     def _squared_norms(self, idf: np.ndarray) -> np.ndarray:
         """Per-document sums of squared TF-IDF weights, term id `t` weighing

@@ -239,3 +239,11 @@ def naive_embed(doc_ids, store, query_id: str) -> dict[str, float]:
         chunks = [[float(x) for x in c] for c in store.chunks(d)]
         scores[d] = sum(cos(qv, c) for c in chunks) / len(chunks)
     return scores
+
+
+def naive_run_text(run: dict[str, list[tuple[str, float]]], tag: str) -> str:
+    """A run file's text, one f-string per line: queries in ascending id
+    order, ranks from 1."""
+    return "".join(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+                   for qid in sorted(run)
+                   for rank, (doc, score) in enumerate(run[qid], start=1))

@@ -5,8 +5,12 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from priorcase.evaluation import (
     evaluate_run,
@@ -21,6 +25,7 @@ from priorcase.evaluation import (
 )
 
 from conftest import REPO_ROOT
+from oracles import naive_run_text
 
 
 class TestPrecision:
@@ -282,7 +287,10 @@ class TestInterchangeFiles:
         ("q1", [("a", 1.0), ("b c", 0.5)]),
         ("q1", [("a", 1.0), ("b", float("nan"))]),
         ("q1", [("a", 1.0), ("b", 0.5), ("a", 0.25)]),
-    ], ids=["space-in-query-id", "empty-query-id", "space-in-doc-id", "nan-score", "doc-listed-twice"])
+        ("q1", [("a", 1.0, "x")]),
+        ("q1", [("a", 1.0), ("b", 0.5, "x"), ("c", 0.25)]),
+    ], ids=["space-in-query-id", "empty-query-id", "space-in-doc-id", "nan-score", "doc-listed-twice",
+            "three-item-entry", "two-and-three-item-entries"])
     def test_write_run_rejects_what_load_run_cannot_read(self, tmp_path, qid, ranking):
         with pytest.raises(ValueError, match=f"^cannot write query {re.escape(repr(qid))}:"):
             write_run({"q0": [("z", 1.0)], qid: ranking}, tmp_path / "bad.run", tag="t")
@@ -305,6 +313,28 @@ class TestInterchangeFiles:
             b"q10 Q0 b 1 0.333333 x\nq10 Q0 a 2 0.000000 x\n"
             b"q9 Q0 c 1 -2.500000 x\nq9 Q0 d 2 0.000000 x\n"
         )
+
+
+# ids and tags holding `%` in the forms a `%` template would read
+RUN_IDS = st.lists(st.sampled_from(["a", "q", "7", "é", "%", "%s", "%%", "%d", "%(x)s", "Q0"]),
+                   min_size=1, max_size=4).map("".join)
+RUN_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, -2.5, 1e-7, -1e-7, 5e-7, 1e300, -1e300]),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(RUN_IDS, st.lists(st.tuples(RUN_IDS, RUN_SCORES), max_size=6,
+                                         unique_by=lambda entry: entry[0]), max_size=4),
+       RUN_IDS)
+def test_write_run_bytes_equal_the_reference_lines(run, tag):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.run"
+        write_run(run, path, tag)
+        assert path.read_bytes() == naive_run_text(run, tag).encode("utf-8")
 
 
 def test_format_report_contains_machine_lines(synthetic_dir):

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import priorcase.rankers as rankers_module
 from priorcase.embeddings import EmbeddingStore, aggregate_chunk_similarity
@@ -684,6 +684,45 @@ def assert_impacts_equal_scalar_formula(index, query, params):
 def test_impacts_equal_scalar_formula(word_lists, query, params):
     index = build_index([(f"d{i}", words) for i, words in enumerate(word_lists)], "fp")
     assert_impacts_equal_scalar_formula(index, query, params)
+
+
+def reference_postings(index, query):
+    """`Searcher._postings` from the CSR slices: each in-vocabulary term's
+    count and df in `Counter` order, then its positions and tfs whole."""
+    counts, dfs, positions, tfs = [], [], [], []
+    for term, count in Counter(query).items():
+        if term in index.term_ids:
+            t = index.term_ids[term]
+            lo, hi = int(index.offsets[t]), int(index.offsets[t + 1])
+            counts.append(float(count))
+            dfs.append(hi - lo)
+            positions += index.positions[lo:hi].tolist()
+            tfs += index.tfs[lo:hi].tolist()
+    return counts, dfs, positions, tfs
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(CONTENT_WORDS[:8]), min_size=1, max_size=12),
+                min_size=1, max_size=8),
+       # the last two words are in no document
+       st.lists(st.sampled_from(CONTENT_WORDS[:6] + ["zzyzx", "qwerty"]), max_size=10))
+@example([["court"], ["appeal", "court"]], [])
+@example([["court"], ["appeal", "court"]], ["zzyzx", "qwerty", "zzyzx"])
+@example([["court", "court"], ["appeal"]], ["court", "zzyzx", "court", "appeal", "court"])
+def test_postings_equal_the_csr_slices(word_lists, query):
+    index = build_index([(f"d{i}", words) for i, words in enumerate(word_lists)], "fp")
+    searcher = Searcher(index)
+    counts, df, pos, tf = searcher._postings(query)
+    assert (counts.dtype, df.dtype, pos.dtype, tf.dtype) == (
+        np.float64, np.int64, np.int32, np.int32)
+    assert [counts.tolist(), df.tolist(), pos.tolist(), tf.tolist()] == list(
+        reference_postings(index, query))
+    # the full ranking names position p by index.doc_ids[p]
+    scores = searcher._scores("bm25", query, None, None)
+    order = np.argsort(-scores, kind="stable")
+    ranking = searcher._ranking(scores, order)
+    assert ranking == [(index.doc_ids[p], scores[p].item()) for p in order.tolist()]
+    assert searcher.score("bm25", query) == ranking
 
 
 @pytest.mark.parametrize("params", TestExactReference.PARAMS)
