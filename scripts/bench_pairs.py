@@ -5,18 +5,18 @@
         --pairs 10 --seconds 12 --trace 0 --seed 0 --out BENCH_<pr>.json
 
 Run it from anywhere inside the repository.  `--workload NAME:N` runs N
-pairs of that workload; a bare `NAME` runs `--pairs` of them.  Each revision is cloned from
-this repository (a local `git clone`, no network) into a temporary
-directory, and `perfbench/run.py` runs there, one run at a time.  For each
-workload in turn, odd pairs run the parent first and even pairs the
-change first.
+pairs of that workload; a bare `NAME` runs `--pairs` of them.  Each
+revision is cloned from this repository (a local `git clone`, no network)
+into a temporary directory, and `perfbench/run.py` runs there, one run at
+a time.  For each workload in turn, odd pairs run the parent first and
+even pairs the change first.
 
 The output file holds `pr` (from the `BENCH_<pr>.json` name), `what`,
 `command`, `host`, `note` (which names each workload's pair count), and
-for each side its `git_rev`, `src_loc`,
-`reports` (pair 1's `.bench_out/` report of each workload, without
-`samples`) and `runs` (every run's gate line: `correct`, `attempted`,
-`failed` and each metric's value, keyed `<workload> trace<T> seed<S>`).
+for each side its `git_rev`, `src_loc`, `reports` (pair 1's `.bench_out/`
+report of each workload, without `samples`) and `runs` (every run's gate
+line: `correct`, `attempted`, `failed` and each metric's value, keyed
+`<workload> trace<T> seed<S>`).
 
 It prints, per workload and metric, both sides' medians, both sides'
 interquartile ranges (`statistics.quantiles`' default, exclusive method)
