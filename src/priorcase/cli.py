@@ -38,8 +38,6 @@ DEFAULT_TOP_N = 100
 DEFAULT_COMPARE_SCORERS = "fused,tfidf_cos,bm25,commonwords_bm25"
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-# pipeline switches that only a configuration file sets
-_PIPELINE_BOOLEANS = ("lowercase", "remove_noise", "remove_stopwords", "stem")
 # '#' opens a comment at line start or after whitespace, so values such
 # as `corpus = /data/case#1` keep their '#'.
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
@@ -97,12 +95,11 @@ def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
     if preset_name not in PRESETS:
         raise ValueError(f"unknown preset {preset_name!r}; expected none, standard or full")
     overrides = {
-        key: _as_bool(settings, key)
-        for key in _PIPELINE_BOOLEANS
-        if settings.get(key) is not None
+        f.name: _as_bool(settings, f.name) if isinstance(f.default, bool)
+        else _as_number(settings, f.name, int)
+        for f in dataclasses.fields(PipelineConfig)
+        if settings.get(f.name) is not None
     }
-    if settings.get("min_token_len") is not None:
-        overrides["min_token_len"] = _as_number(settings, "min_token_len", int)
     config = dataclasses.replace(PRESETS[preset_name], **overrides)
 
     if settings.get("stopword_file"):
@@ -264,7 +261,7 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=["none", "standard", "full"],
+    parser.add_argument("--preset", choices=list(PRESETS),
                         help="normalization preset (default: standard)")
     parser.add_argument("--stopwords", dest="stopword_file", metavar="FILE",
                         help="override the bundled stopword list")
@@ -336,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
             settings.update(load_config_file(_existing_path(args.config, "config file")))
             # every command's settings are known, so one file serves them all
             known = {key for name in _COMMANDS for key in vars(parser.parse_args([name]))}
-            known = (known - {"config", "command"}).union(_PIPELINE_BOOLEANS)
+            known = (known - {"config", "command"}).union(
+                f.name for f in dataclasses.fields(PipelineConfig))
             for key in settings:
                 if key not in known:
                     raise ValueError(f"{args.config}: unknown setting {key!r}")

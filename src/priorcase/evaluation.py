@@ -80,7 +80,6 @@ class EvalReport:
     mean_recall: dict[int, float] = field(default_factory=dict)
     mean_f1: dict[int, float] = field(default_factory=dict)
     mrr: float = 0.0
-    f1_mode: str = "per_query"
 
 
 def evaluate_run(
@@ -127,7 +126,7 @@ def evaluate_run(
             reciprocal_rank=reciprocal_rank(ranked_ids, relevant),
         )
 
-    report = EvalReport(ks=ks, queries=queries, skipped=skipped, f1_mode=f1_mode)
+    report = EvalReport(ks=ks, queries=queries, skipped=skipped)
     if queries:
         ordered = [queries[qid] for qid in sorted(queries)]
         n = len(ordered)
@@ -174,10 +173,12 @@ def load_qrels(path: str | Path) -> Qrels:
 def load_run(path: str | Path) -> Run:
     """Read `query_id Q0 doc_id rank score tag` lines into a run.
 
-    Validates that each query's ranks are contiguous from 1 and that no
-    document is listed twice for the same query.  Each line appends to
-    its query's rank, id and score columns; a query's rows are sorted by
-    (rank, id, score) only when its ranks are not already 1, 2, ...
+    A rank is ASCII digits; a score is a finite ASCII decimal or exponent
+    literal, without `_`.  Validates that each query's ranks are contiguous
+    from 1 and that no document is listed twice for the same query.  Each
+    line appends to its query's rank, id and score columns; a query's rows
+    are sorted by (rank, id, score) only when its ranks are not already
+    1, 2, ...
     """
     columns: dict[str, tuple[list[int], list[str], list[float]]] = defaultdict(
         lambda: ([], [], []))
@@ -193,6 +194,9 @@ def load_run(path: str | Path) -> Run:
             continue
         qid, _q0, doc_id, rank, score, _tag = parts
         try:
+            # `int` and `float` would also take `_`, a signed rank and non-ASCII digits
+            if not (rank.isdigit() and rank.isascii()) or "_" in score or not score.isascii():
+                raise ValueError
             rank, score = int(rank), float(score)
             if not math.isfinite(score):
                 raise ValueError
@@ -221,10 +225,12 @@ def load_run(path: str | Path) -> Run:
 def write_run(run: Run, path: str | Path, tag: str) -> None:
     """Write a run file, queries in ascending id order, ranks from 1.
 
-    Each line reads `f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"`.
+    Each line reads `f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"`, and
+    the file is those lines' UTF-8 bytes, with `\n` on every platform.
     Rejects, before touching `path`, any ranking `load_run` could not read
     back: an entry that is not a (doc_id, score) pair, ids that are not
-    single words, a document listed twice, or a score that is not finite.
+    single words or have no UTF-8 form, a document listed twice, or a
+    score that is not finite.
     Each query is formatted with one `%` template, built from per-rank
     line tails made once per call.
     """
@@ -250,8 +256,10 @@ def write_run(run: Run, path: str | Path, tag: str) -> None:
             head = qid.replace("%", "%%") + " Q0 %s"
             template = head + head.join(tails[:len(ranking)])
             text.append(template % tuple(chain.from_iterable(ranking)))
+    # encoding first rejects an id with no UTF-8 form before `path` is touched
+    data = "".join(text).encode("utf-8")
     with atomic_open(path) as out:
-        out.write("".join(text))
+        out.write(data)
 
 
 def format_report(report: EvalReport, per_query: bool = False) -> str:

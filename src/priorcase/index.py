@@ -49,7 +49,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -234,15 +234,16 @@ def build_index(
 # persistence
 
 @contextmanager
-def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
-    """Open a temporary file beside `path` that replaces it on success.
+def atomic_open(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a temporary binary file beside `path` that replaces it on success.
 
     If the block raises, the temporary file is removed and `path` is left
-    as it was, so readers never see a half-written file.
+    as it was, so readers never see a half-written file.  Callers encode
+    text themselves, so no file depends on the platform's newline.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    out = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    out = open(tmp, "xb")
     try:
         with out:
             yield out
@@ -316,7 +317,7 @@ def persist_index(index: CorpusIndex, path: str | Path) -> None:
     offsets = index.offsets.tolist()
     crc = 0
     _write_u32(buf, len(index.terms))
-    with atomic_open(path, binary=True) as out:
+    with atomic_open(path) as out:
         for i, term in enumerate(index.terms):
             _write_bytes(buf, term.encode("utf-8"))
             _write_u32(buf, offsets[i + 1] - offsets[i])

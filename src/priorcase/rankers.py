@@ -115,23 +115,6 @@ def _bm25_idf(
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def _bm25_impact(tf: int, norm: float, idf: float, params: BM25Params, variant: Variant) -> float:
-    """Impact of a term with frequency `tf` in a document of length norm `norm`.
-
-    `Searcher._impacts` runs the same float64 operations in the same
-    order over arrays of postings, so both give identical bits.
-    """
-    k1 = params.k1
-    if variant is Variant.BM25L:
-        delta = params.delta_for(variant)
-        ctd = tf / norm
-        return idf * (k1 + 1.0) * (ctd + delta) / (k1 + ctd + delta)
-    if variant is Variant.BM25PLUS:
-        delta = params.delta_for(variant)
-        return idf * (delta + (k1 + 1.0) * tf / (k1 * norm + tf))
-    return idf * (k1 + 1.0) * tf / (k1 * norm + tf)
-
-
 def bm25_term_score(
     tf: int,
     df: int,
@@ -147,7 +130,9 @@ def bm25_term_score(
     A term that does not appear in the document (tf = 0) contributes 0
     under every variant.  `avg_idf` (the corpus mean of raw Okapi IDF) is
     required by the Okapi variant whenever its IDF goes negative, which
-    happens exactly when df > n_docs / 2.
+    happens exactly when df > n_docs / 2.  `Searcher._impacts` runs the
+    same float64 operations in the same order over arrays of postings,
+    so both give identical bits.
     """
     if df < 1 or df > n_docs:
         raise ValueError(f"df must be in [1, n_docs]; got df={df}, n_docs={n_docs}")
@@ -159,7 +144,15 @@ def bm25_term_score(
         raise ValueError("avg_len must be > 0")
     norm = 1.0 - params.b + params.b * (doc_len / avg_len)
     idf = _bm25_idf(variant, df, n_docs, params.epsilon, avg_idf)
-    return _bm25_impact(tf, norm, idf, params, variant)
+    k1 = params.k1
+    if variant is Variant.BM25L:
+        delta = params.delta_for(variant)
+        ctd = tf / norm
+        return idf * (k1 + 1.0) * (ctd + delta) / (k1 + ctd + delta)
+    if variant is Variant.BM25PLUS:
+        delta = params.delta_for(variant)
+        return idf * (delta + (k1 + 1.0) * tf / (k1 * norm + tf))
+    return idf * (k1 + 1.0) * tf / (k1 * norm + tf)
 
 
 def okapi_mean_idf(index: CorpusIndex) -> float:
@@ -354,8 +347,8 @@ class Searcher:
     # -- individual scorers --------------------------------------------------
 
     def _impacts(self, postings: _Postings, variant: Variant) -> np.ndarray:
-        """Each posting's `count * bm25_term_score(...)`: `_bm25_impact`'s
-        float64 operations in its order, the query-free factors from tables."""
+        """Each posting's `count * bm25_term_score(...)`: its float64
+        operations in its order, the query-free factors from tables."""
         counts, df, pos, tf = postings
         k1 = self.params.k1
         # `take` gathers by int32 positions about twice as fast as indexing
@@ -483,7 +476,7 @@ class Searcher:
     ) -> Ranking:
         """Full ranking of the corpus for one query under `scorer`."""
         scores = self._scores(scorer, query, query_id, query_text)
-        return self._ranking(scores, np.argsort(-scores, kind="stable"))
+        return self._ranking(scores, _top_positions(scores, scores.size))
 
     def search_all(
         self,
@@ -529,13 +522,12 @@ def _top_positions(scores: np.ndarray, top_n: int) -> np.ndarray:
 
     Equals the first `top_n` entries of a full stable sort: every
     document tied with the `top_n`-th score is a candidate, so the
-    lowest positions (ids) win the ties at the cut-off.
+    lowest positions (ids) win the ties at the cut-off.  For `top_n` >=
+    the size the cut is the lowest score and every position is a candidate.
     """
-    if top_n < scores.size:
-        cut = np.partition(scores, -top_n)[-top_n]
-        candidates = np.flatnonzero(scores >= cut)
-    else:
-        candidates = np.arange(scores.size)
+    k = min(top_n, scores.size)
+    cut = np.partition(scores, -k)[-k]
+    candidates = np.flatnonzero(scores >= cut)
     order = np.argsort(-scores[candidates], kind="stable")
     return candidates[order[:top_n]]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .porter import porter_stem
@@ -42,16 +42,11 @@ class PipelineConfig:
             raise ValueError("min_token_len must be >= 0")
 
 
-#: The three standard permutations used throughout the tooling.
-PRESET_NONE = PipelineConfig(
-    lowercase=False, remove_noise=False, remove_stopwords=False, stem=False
-)
-PRESET_STANDARD = PipelineConfig(
-    lowercase=True, remove_noise=True, remove_stopwords=True, stem=False
-)
-PRESET_FULL = PipelineConfig(
-    lowercase=True, remove_noise=True, remove_stopwords=True, stem=True
-)
+#: The three standard permutations used throughout the tooling; the
+#: defaults are the standard one.
+PRESET_NONE = PipelineConfig(lowercase=False, remove_noise=False, remove_stopwords=False)
+PRESET_STANDARD = PipelineConfig()
+PRESET_FULL = PipelineConfig(stem=True)
 
 PRESETS: dict[str, PipelineConfig] = {
     "none": PRESET_NONE,
@@ -130,21 +125,15 @@ def pipeline_fingerprint(
     config: PipelineConfig,
     stopwords: Iterable[str] = ENGLISH_STOPWORDS,
 ) -> str:
-    """Hash of the pipeline configuration and stopword list.
+    """Hash of every `PipelineConfig` field, in declaration order, and the
+    sorted stopword list.
 
     Indexes record this at build time; searching with a different
     fingerprint is rejected, because queries must be normalized exactly
     like the indexed documents.
     """
     payload = json.dumps(
-        {
-            "lowercase": config.lowercase,
-            "remove_noise": config.remove_noise,
-            "remove_stopwords": config.remove_stopwords,
-            "stem": config.stem,
-            "min_token_len": config.min_token_len,
-            "stopwords": sorted(stopwords),
-        },
+        {**asdict(config), "stopwords": sorted(stopwords)},
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -9,6 +9,8 @@ which `tests/test_porter.py` pins on its own.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -247,3 +249,20 @@ def naive_run_text(run: dict[str, list[tuple[str, float]]], tag: str) -> str:
     return "".join(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
                    for qid in sorted(run)
                    for rank, (doc, score) in enumerate(run[qid], start=1))
+
+
+def naive_fingerprint(config, stopwords) -> str:
+    """SHA-256 of the pipeline settings and sorted stopwords, each key
+    written out by hand, as compact JSON."""
+    payload = json.dumps(
+        {
+            "lowercase": config.lowercase,
+            "remove_noise": config.remove_noise,
+            "remove_stopwords": config.remove_stopwords,
+            "stem": config.stem,
+            "min_token_len": config.min_token_len,
+            "stopwords": sorted(stopwords),
+        },
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

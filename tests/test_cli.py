@@ -22,6 +22,7 @@ from priorcase.rankers import SCORER_NAMES, BM25Params, Searcher
 from priorcase.textproc import (
     PRESET_FULL,
     PRESET_STANDARD,
+    PipelineConfig,
     pipeline_fingerprint,
     tokenize_corpus,
     tokenize_normalize,
@@ -521,6 +522,7 @@ class TestConfigFile:
         ("top_n = ten", "config value 'top_n' must be an integer, got 'ten'"),
         ("preset = tiny", "unknown preset 'tiny'; expected none, standard or full"),
         ("k = 1,x", "cutoff list must be comma-separated integers, got '1,x'"),
+        ("stem = maybe", "config value 'stem' must be true/false, got 'maybe'"),
     ])
     def test_malformed_config_value_is_a_one_line_error(self, paths, capsys, setting, error):
         build_synthetic_index(paths)
@@ -530,6 +532,7 @@ class TestConfigFile:
             "top_n": ["search", "--index", paths["index"], "--queries", paths["queries"],
                       "--scorer", "bm25", "--out", str(out)],
             "preset": ["index", "--corpus", paths["corpus"], "--out", str(out)],
+            "stem": ["index", "--corpus", paths["corpus"], "--out", str(out)],
             "k": ["eval", "--run", paths["run"], "--qrels", paths["qrels"]],
         }
         cfg = paths["tmp"] / "bad.cfg"
@@ -584,6 +587,19 @@ class TestConfigFile:
         assert main(["index", "--corpus", paths["corpus"], "--out", str(full_idx),
                      "--preset", "full"]) == 0
         assert load_index(stem_idx).fingerprint == load_index(full_idx).fingerprint
+
+    def test_every_boolean_field_is_a_config_key(self, paths):
+        # each bool field of the pipeline set away from the standard preset
+        flipped = {f.name: not getattr(PRESET_STANDARD, f.name)
+                   for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, bool)}
+        assert len(flipped) == 4
+        cfg = paths["tmp"] / "flags.cfg"
+        cfg.write_text("".join(f"{key} = {str(value).lower()}\n" for key, value in flipped.items()),
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "index", "--corpus", paths["corpus"],
+                     "--out", paths["index"]]) == 0
+        config = dataclasses.replace(PRESET_STANDARD, **flipped)
+        assert load_index(paths["index"]).fingerprint == pipeline_fingerprint(config)
 
     def test_bad_boolean_in_config(self, paths, capsys):
         cfg = paths["tmp"] / "bad.cfg"

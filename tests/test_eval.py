@@ -214,6 +214,7 @@ class TestInterchangeFiles:
         }
         path = tmp_path / "out.run"
         write_run(run, path, tag="bm25")
+        assert b"\r" not in path.read_bytes()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "q1 Q0 c 1 1.250000 bm25"
         loaded = load_run(path)
@@ -249,6 +250,21 @@ class TestInterchangeFiles:
             path.write_text(f"q1 Q0 a 1 1.0 t\n\n{bad}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: malformed rank or score$"):
                 load_run(path)
+
+    # `int` and `float` take each of these; the run format does not
+    @pytest.mark.parametrize("line", ["q1 Q0 a 1 1_0.5 t", "q1 Q0 b \u0662 0.5 t",
+                                      "q1 Q0 c +3 0.25 t", "q1 Q0 d 1 \u0661.5 t"])
+    def test_run_rejects_python_only_number_forms(self, tmp_path, line):
+        path = tmp_path / "bad.run"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: malformed rank or score$"):
+            load_run(path)
+
+    def test_run_signed_exponent_and_zero_scores_load(self, tmp_path):
+        path = tmp_path / "ok.run"
+        path.write_text("q1 Q0 a 1 -1.5 t\nq1 Q0 b 2 1e-05 t\nq1 Q0 c 3 0.000000 t\n",
+                        encoding="utf-8")
+        assert load_run(path) == {"q1": [("a", -1.5), ("b", 1e-05), ("c", 0.0)]}
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "-Infinity"])
     def test_run_rejects_a_score_that_is_not_finite(self, tmp_path, score):
@@ -295,6 +311,17 @@ class TestInterchangeFiles:
         with pytest.raises(ValueError, match=f"^cannot write query {re.escape(repr(qid))}:"):
             write_run({"q0": [("z", 1.0)], qid: ranking}, tmp_path / "bad.run", tag="t")
         assert os.listdir(tmp_path) == []
+
+    def test_doc_id_with_no_utf8_form_is_rejected_before_the_path_is_touched(self, tmp_path):
+        path = tmp_path / "out.run"
+        write_run({"q1": [("a", 1.0)]}, path, tag="t")
+        before, dir_mtime = path.read_bytes(), os.stat(tmp_path).st_mtime_ns
+        with pytest.raises(ValueError, match="surrogate"):
+            write_run({"q1": [("a\ud800", 1.0)]}, path, tag="t")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.run"]
+        # no temporary file was made and removed
+        assert os.stat(tmp_path).st_mtime_ns == dir_mtime
 
     def test_rejected_run_leaves_the_previous_file(self, tmp_path):
         path = tmp_path / "out.run"

@@ -21,7 +21,7 @@ from priorcase.textproc import (
     tokenize_normalize,
 )
 
-from oracles import naive_split_tokens, naive_tokenize
+from oracles import naive_fingerprint, naive_split_tokens, naive_tokenize
 
 # a small pool, so words repeat within and across texts; it holds digits,
 # '_', non-ASCII letters, stopwords, case variants and stemmable forms
@@ -214,3 +214,11 @@ class TestFingerprint:
         a = pipeline_fingerprint(PRESET_STANDARD, {"the"})
         b = pipeline_fingerprint(PRESET_STANDARD, {"the", "of"})
         assert a != b
+
+    @settings(deadline=None)
+    @given(config=st.builds(PipelineConfig, st.booleans(), st.booleans(), st.booleans(),
+                            st.booleans(), st.integers(0, 10)),
+           stopwords=st.lists(st.text(max_size=6), max_size=5))
+    def test_equals_the_hand_written_payload(self, config, stopwords):
+        # indexes on disk hold these digests, so the field order is fixed
+        assert pipeline_fingerprint(config, stopwords) == naive_fingerprint(config, stopwords)
