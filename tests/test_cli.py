@@ -592,7 +592,7 @@ class TestConfigFile:
         # each bool field of the pipeline set away from the standard preset
         flipped = {f.name: not getattr(PRESET_STANDARD, f.name)
                    for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, bool)}
-        assert len(flipped) == 4
+        assert flipped.keys() >= {"lowercase", "remove_noise", "remove_stopwords", "stem"}
         cfg = paths["tmp"] / "flags.cfg"
         cfg.write_text("".join(f"{key} = {str(value).lower()}\n" for key, value in flipped.items()),
                        encoding="utf-8")
