@@ -19,9 +19,13 @@ line: `correct`, `attempted`, `failed` and each metric's value, keyed
 `<workload> trace<T> seed<S>`).
 
 It prints, per workload and metric, both sides' medians, both sides'
-interquartile ranges (`statistics.quantiles`' default, exclusive method)
-and in how many pairs the change read higher or lower.  It decides no
-gate.  The exit code is 1 when any run did not print `"correct": true`.
+interquartile ranges (`statistics.quantiles`' default, exclusive method),
+whether the change moved beyond the parent's spread (`beyond` when the
+medians differ by more than the parent's IQR, `within` otherwise, `n/a`
+when the parent has fewer than two runs) and in how many pairs the change
+read higher or lower.  That column is a reading aid: it decides no gate,
+and neither does the script.  The exit code is 1 when any run did not
+print `"correct": true`.
 
 An A/A batch, `--parent HEAD --change HEAD`, runs one commit against
 itself: its two IQR columns and pair counts show how far a gate spreads
@@ -134,10 +138,21 @@ def iqr(values: tuple[float, ...]) -> float:
     return q3 - q1
 
 
+def moved(before: tuple[float, ...], after: tuple[float, ...]) -> str:
+    """`beyond` when the medians differ by more than the parent's IQR, else
+    `within`; `n/a` when the parent has no IQR."""
+    spread = iqr(before)
+    if math.isnan(spread):
+        return "n/a"
+    shift = abs(statistics.median(after) - statistics.median(before))
+    return "beyond" if shift > spread else "within"
+
+
 def summary(runs: dict[str, list[dict]], key: str) -> list[str]:
-    """One line per metric: both medians, both IQRs and the pair count each way."""
+    """One line per metric: both medians, both IQRs, whether the change moved
+    beyond the parent's IQR, and the pair count each way."""
     lines = [key, f"  {'metric':<20}{'parent':>12}{'change':>12}{'parent IQR':>12}"
-                  f"{'change IQR':>12}  pairs"]
+                  f"{'change IQR':>12}{'moved':>8}  pairs"]
     parent, change = runs["parent"][key], runs["change"][key]
     for name in dict.fromkeys(name for run in parent + change for name in run["metrics"]):
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
@@ -149,6 +164,7 @@ def summary(runs: dict[str, list[dict]], key: str) -> list[str]:
         lower = sum(c < p for p, c in pairs)
         lines.append(f"  {name:<20}{statistics.median(before):>12.6g}"
                      f"{statistics.median(after):>12.6g}{iqr(before):>12.6g}{iqr(after):>12.6g}"
+                     f"{moved(before, after):>8}"
                      f"  higher in {higher}, lower in {lower} of {len(pairs)}")
     return lines
 

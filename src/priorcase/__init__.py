@@ -6,7 +6,7 @@ scorers (`rankers`), and evaluate rankings against relevance judgments
 (`evaluation`).  The `priorcase` command wires the pieces together.
 """
 
-from .embeddings import EmbeddingStore, aggregate_chunk_similarity, load_embeddings
+from .embeddings import EmbeddingStore, load_embeddings
 from .evaluation import (
     EvalReport,
     evaluate_run,
@@ -31,7 +31,6 @@ from .index import (
     read_queries_file,
 )
 from .porter import porter_stem
-from .rake import rake_extract
 from .rankers import (
     BM25Params,
     Ranking,

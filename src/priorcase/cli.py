@@ -30,7 +30,7 @@ from .index import (
     read_corpus_dir,
     read_queries_file,
 )
-from .rankers import BM25Params, SCORER_NAMES, Searcher
+from .rankers import BM25Params, SCORER_NAMES, Searcher, check_scorers
 from .stopwords import ENGLISH_STOPWORDS, load_stopword_file
 from .textproc import PRESETS, PipelineConfig, pipeline_fingerprint, tokenize_corpus, tokenize_normalize
 
@@ -119,10 +119,9 @@ def _parse_ks(settings: dict) -> tuple[int, ...]:
     if raw in (None, ""):
         return DEFAULT_KS
     try:
-        ks = tuple(int(part) for part in str(raw).split(","))
+        return tuple(int(part) for part in str(raw).split(","))
     except ValueError:
         raise ValueError(f"cutoff list must be comma-separated integers, got {raw!r}") from None
-    return ks
 
 
 def _build_searcher(settings: dict, scorers: list[str], index_path: Path) -> Searcher:
@@ -170,10 +169,7 @@ def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict]
     """Rank every query under each scorer: the half `search` and `compare` share."""
     index_path = _existing_path(_require(settings, "index", "--index"), "index file")
     queries_path = _existing_path(_require(settings, "queries", "--queries"), "queries file")
-    unknown = [s for s in scorers if s not in SCORER_NAMES]
-    if unknown:
-        raise ValueError(f"unknown scorer {', '.join(map(repr, unknown))}; "
-                         f"expected one of {', '.join(SCORER_NAMES)}")
+    check_scorers(scorers)
     for i, scorer in enumerate(scorers):
         if scorer in scorers[:i]:
             raise ValueError(f"scorer {scorer} is given more than once")
@@ -347,6 +343,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,10 +42,10 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Parse an embedding sidecar file into a store."""
+    """Parse an embedding sidecar file into a store; a norm that overflows is an error."""
     rows: dict[str, dict[int, np.ndarray]] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -61,8 +61,10 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 raise ValueError(f"{path}:{lineno}: malformed chunk index or vector") from None
             if vec.size == 0:
                 raise ValueError(f"{path}:{lineno}: empty vector")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: vector contains a non-finite value")
+            if not np.isfinite(np.linalg.norm(vec)):  # the norm `embed` divides by
+                cause = ("contains a non-finite value" if not np.isfinite(vec).all()
+                         else "norm overflows to inf; scale the vector down")
+                raise ValueError(f"{path}:{lineno}: vector {cause}")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

@@ -458,13 +458,13 @@ class Searcher:
         """Dense float scores by document position."""
         fn = _SCORERS.get(scorer)
         if fn is None:
-            raise ValueError(
-                f"unknown scorer {scorer!r}; expected one of {', '.join(SCORER_NAMES)}"
-            )
+            check_scorers([scorer])
         # np.bincount over no postings returns int64 zeros
         return fn(self, query, query_id, query_text).astype(np.float64, copy=False)
 
-    def _ranking(self, scores: np.ndarray, order: np.ndarray) -> Ranking:
+    def _ranking(self, scores: np.ndarray, top_n: int) -> Ranking:
+        """The `top_n` best (doc id, score) pairs, in `_top_positions` order."""
+        order = _top_positions(scores, top_n)
         return list(zip(self._doc_ids[order].tolist(), scores[order].tolist()))
 
     def score(
@@ -475,8 +475,7 @@ class Searcher:
         query_text: str | None = None,
     ) -> Ranking:
         """Full ranking of the corpus for one query under `scorer`."""
-        scores = self._scores(scorer, query, query_id, query_text)
-        return self._ranking(scores, _top_positions(scores, scores.size))
+        return self._ranking(self._scores(scorer, query, query_id, query_text), self.index.n_docs)
 
     def search_all(
         self,
@@ -506,8 +505,7 @@ class Searcher:
         def one(item: tuple[str, str]) -> tuple[str, Ranking]:
             qid, text = item
             tokens = tokenize_normalize(text, self.config, self.stopwords)
-            scores = self._scores(scorer, tokens, qid, text)
-            return qid, self._ranking(scores, _top_positions(scores, top_n))
+            return qid, self._ranking(self._scores(scorer, tokens, qid, text), top_n)
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -552,3 +550,11 @@ _SCORERS: dict[str, _Scorer] = {
     "embed": Searcher._embed,
 }
 SCORER_NAMES = tuple(_SCORERS)
+
+
+def check_scorers(names: Iterable[str]) -> None:
+    """Raise the one unknown-scorer ValueError, naming every entry of `names` that is none."""
+    unknown = [name for name in names if name not in _SCORERS]
+    if unknown:
+        raise ValueError(f"unknown scorer {', '.join(map(repr, unknown))}; "
+                         f"expected one of {', '.join(SCORER_NAMES)}")

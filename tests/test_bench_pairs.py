@@ -19,9 +19,10 @@ def load_script():
 class FakeBench:
     """Checks out a directory naming its revision; each run prints a gate line."""
 
-    def __init__(self, broken_run=None):
+    def __init__(self, broken_run=None, shift=0.5):
         self.calls = []
         self.broken_run = broken_run
+        self.shift = shift
 
     def checkout(self, rev, dest):
         dest.mkdir(parents=True)
@@ -38,7 +39,7 @@ class FakeBench:
         if n == self.broken_run:
             return "fact src_loc 10\nTraceback: it broke\n"
         gate = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
-            "setup_s": {"value": float(n) + (0.5 if rev == "new" else 0.0), "unit": "s"}}}
+            "setup_s": {"value": float(n) + (self.shift if rev == "new" else 0.0), "unit": "s"}}}
         return (f"fact git_rev {rev}-sha\nfact src_loc {20 if rev == 'new' else 10}\n"
                 f"fact nproc 2\nfact machine x86_64\nfact python 3.11\nfact numpy 2\n"
                 f"metric setup_s {n} s\n{json.dumps(gate)}\n")
@@ -110,16 +111,25 @@ def test_output_file_form(tmp_path, capsys):
     ]
     assert [run["metrics"]["setup_s"] for run in document["parent"]["runs"][key]] == [1.0, 4.0]
     header, last = capsys.readouterr().out.splitlines()[-2:]
-    assert header.split() == "metric parent change parent IQR change IQR pairs".split()
+    assert header.split() == "metric parent change parent IQR change IQR moved pairs".split()
     # parent runs 1.0 and 4.0, change runs 2.5 and 3.5: IQRs 4.5 and 1.5
-    assert last.split() == "setup_s 2.5 3 4.5 1.5 higher in 1, lower in 1 of 2".split()
+    assert last.split() == "setup_s 2.5 3 4.5 1.5 within higher in 1, lower in 1 of 2".split()
+
+
+@pytest.mark.parametrize("shift, reading", [(5.0, "within"), (5.5, "beyond")])
+def test_moved_compares_the_median_shift_with_the_parent_iqr(tmp_path, capsys, shift, reading):
+    code, _document = run_script(tmp_path, FakeBench(shift=shift), pairs=3, workloads=("ingest",))
+    assert code == 0
+    # parent runs 1, 4 and 5: median 4, IQR 5 - 1 = 4; the change's median is 3 + shift
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.split()[:2] + last.split()[5:7] == ["setup_s", "4", reading, "higher"]
 
 
 def test_one_pair_has_no_spread(tmp_path, capsys):
     code, _document = run_script(tmp_path, FakeBench(), pairs=1, workloads=("ingest",))
     assert code == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last.split() == "setup_s 1 2.5 nan nan higher in 1, lower in 0 of 1".split()
+    assert last.split() == "setup_s 1 2.5 nan nan n/a higher in 1, lower in 0 of 1".split()
 
 
 @pytest.mark.parametrize("broken_run", [1, 4])

@@ -287,6 +287,24 @@ class TestSearchCommand:
         # q1 is the contract query; case01 has the strongest contract vectors
         assert run["q1"][0][0] == "case01"
 
+    @pytest.mark.parametrize("value", ["1e200", "1.3e154"])
+    def test_embed_sidecar_whose_norm_overflows_is_one_error(self, paths, capsys, value):
+        build_synthetic_index(paths)
+        sidecar = Path(paths["embeddings"]).read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(sidecar) if line.startswith("case02\t0\t"))
+        sidecar[at] = f"case02\t0\t{value} {value} 0 0"
+        embeddings = paths["tmp"] / "huge.tsv"
+        embeddings.write_text("\n".join(sidecar) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "search", "--index", paths["index"], "--queries", paths["queries"],
+            "--scorer", "embed", "--out", paths["run"], "--embeddings", str(embeddings),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {embeddings}:{at + 1}: vector norm overflows to inf; scale the vector down\n")
+        assert not Path(paths["run"]).exists()
+
     def test_embed_scorer_requires_sidecar(self, paths, capsys):
         build_synthetic_index(paths)
         code = main([
@@ -470,6 +488,23 @@ class TestCompareCommand:
         assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
                      "--qrels", paths["qrels"], "--scorers", "bm25,wizardry,bm26"]) == 1
         assert capsys.readouterr().err == expected.replace("'wizardry'", "'wizardry', 'bm26'")
+
+    def test_searcher_and_compare_write_one_unknown_scorer_message(self, paths, capsys):
+        build_synthetic_index(paths)
+        with pytest.raises(ValueError) as raised:
+            Searcher(load_index(paths["index"])).score("pagerank", ["contract"])
+        capsys.readouterr()
+        assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
+                     "--qrels", paths["qrels"], "--scorers", "pagerank,bm25"]) == 1
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+    def test_unknown_scorers_are_named_before_the_index_is_read(self, paths, capsys):
+        # an index file that fails to load: the scorer names are checked first
+        Path(paths["index"]).write_bytes(b"not an index")
+        assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
+                     "--qrels", paths["qrels"], "--scorers", "nope,bm25,wizardry"]) == 1
+        assert capsys.readouterr().err == ("error: unknown scorer 'nope', 'wizardry'; "
+                                           f"expected one of {', '.join(SCORER_NAMES)}\n")
 
 
 class TestConfigFile:

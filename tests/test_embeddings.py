@@ -1,5 +1,7 @@
 """Embedding sidecar parsing and chunk similarity aggregation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from priorcase.embeddings import (
     aggregate_chunk_similarity,
     load_embeddings,
 )
+from priorcase.index import build_index
+from priorcase.rankers import Searcher
 
 
 class TestAggregate:
@@ -95,6 +99,30 @@ class TestSidecar:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["1e200", "1.3e154"])
+    def test_vector_whose_norm_overflows_rejected_at_its_line(self, tmp_path, value):
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"a\t0\t1 2\nb\t0\t{value} {value}\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is the error, not a warning
+            with pytest.raises(ValueError,
+                               match=":2: vector norm overflows to inf; scale the vector down$"):
+                load_embeddings(path)
+
+    def test_largest_finite_norm_loads_and_embed_scores_stay_finite(self, tmp_path):
+        # the largest norm is just under sqrt(max float), about 1.34e154
+        half = float(np.nextafter(np.sqrt(np.finfo(np.float64).max), 0.0) / np.sqrt(2.0))
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"q\t0\t{half!r} {half!r}\na\t0\t{half!r} {half!r}\n"
+                        f"b\t0\t{-half!r} {half!r}\nb\t1\t1 0\n", encoding="utf-8")
+        store = load_embeddings(path)
+        assert 1.34e154 < np.linalg.norm(store.query_vector("q")) < np.inf
+        index = build_index([("a", ["x"]), ("b", ["y"])], "fp")
+        with np.errstate(all="raise"):
+            ranking = Searcher(index, embeddings=store).score("embed", [], query_id="q")
+        assert [doc for doc, _score in ranking] == ["a", "b"]
+        assert all(np.isfinite(score) for _doc, score in ranking)
 
     def test_non_contiguous_chunks_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"

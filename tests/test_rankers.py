@@ -720,7 +720,7 @@ def test_postings_equal_the_csr_slices(word_lists, query):
     # the full ranking names position p by index.doc_ids[p]
     scores = searcher._scores("bm25", query, None, None)
     order = np.argsort(-scores, kind="stable")
-    ranking = searcher._ranking(scores, order)
+    ranking = searcher._ranking(scores, scores.size)
     assert ranking == [(index.doc_ids[p], scores[p].item()) for p in order.tolist()]
     assert searcher.score("bm25", query) == ranking
 
