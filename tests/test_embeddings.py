@@ -1,7 +1,5 @@
 """Embedding sidecar parsing and chunk similarity aggregation."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -91,24 +89,20 @@ class TestSidecar:
         ("a\t0\n", ":1: expected 'id<TAB>chunk_index<TAB>values'"),
         ("a\t0\t\n", ":1: empty vector"),
         ("a\t0\t1 nan\n", ":1: vector contains a non-finite value"),
+        ("a\t0\t1 2\nb\t0\t1e200 1e200\n",
+         ":2: vector norm overflows to inf; scale the vector down$"),
+        ("a\t0\t1 2\nb\t0\t1.3e154 1.3e154\n", ":2: vector norm overflows to inf"),
         ("", "no embeddings found"),
         ("\n\n", "no embeddings found"),
-    ], ids=["two-columns", "empty-vector", "nan", "no-lines", "blank-lines"])
+    ], ids=["two-columns", "empty-vector", "nan", "norm-1e200", "norm-1.3e154", "no-lines",
+            "blank-lines"])
+    # an overflowing norm is the error, not a numpy warning
+    @pytest.mark.filterwarnings("error")
     def test_malformed_sidecar_rejected(self, tmp_path, text, message):
         path = tmp_path / "emb.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_embeddings(path)
-
-    @pytest.mark.parametrize("value", ["1e200", "1.3e154"])
-    def test_vector_whose_norm_overflows_rejected_at_its_line(self, tmp_path, value):
-        path = tmp_path / "emb.tsv"
-        path.write_text(f"a\t0\t1 2\nb\t0\t{value} {value}\n", encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the overflow is the error, not a warning
-            with pytest.raises(ValueError,
-                               match=":2: vector norm overflows to inf; scale the vector down$"):
-                load_embeddings(path)
 
     def test_largest_finite_norm_loads_and_embed_scores_stay_finite(self, tmp_path):
         # the largest norm is just under sqrt(max float), about 1.34e154
