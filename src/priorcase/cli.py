@@ -1,8 +1,10 @@
 """Command-line interface: index, search, eval, compare.
 
 Every option can also come from a configuration file of `key = value`
-lines (see docs/file_formats.md); command-line flags win over file
-values.  All failures exit non-zero with a one-line diagnostic.
+lines (see docs/file_formats.md); flags win over file values.  A flag is
+text, converted and checked where a file value is, so a bad value gives
+the same one-line `error:` and exit 1 from either; argparse exits 2 only
+for an unknown flag, a flag with no value, or no command.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _as_bool(settings: dict, key: str) -> bool:
-    raw = str(settings[key]).lower()
+    raw = settings[key].lower()
     if raw not in _BOOL_VALUES:
-        raise ValueError(f"config value {key!r} must be true/false, got {settings[key]!r}")
+        raise ValueError(f"setting {key!r} must be true/false, got {settings[key]!r}")
     return _BOOL_VALUES[raw]
 
 
@@ -71,16 +73,16 @@ def _as_number(settings: dict, key: str, kind: type = float, default=None):
         return default
     try:
         return kind(settings[key])
-    except (TypeError, ValueError):
+    except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"config value {key!r} must be {noun}, got {settings[key]!r}") from None
+        raise ValueError(f"setting {key!r} must be {noun}, got {settings[key]!r}") from None
 
 
 def _require(settings: dict, key: str, flag: str) -> str:
     value = settings.get(key)
     if value in (None, ""):
         raise ValueError(f"missing required setting {key!r} (flag {flag})")
-    return str(value)
+    return value
 
 
 def _existing_path(raw: str, kind: str) -> Path:
@@ -91,7 +93,7 @@ def _existing_path(raw: str, kind: str) -> Path:
 
 
 def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
-    preset_name = str(settings.get("preset", "standard")).lower()
+    preset_name = settings.get("preset", "standard").lower()
     if preset_name not in PRESETS:
         raise ValueError(f"unknown preset {preset_name!r}; expected none, standard or full")
     overrides = {
@@ -119,7 +121,7 @@ def _parse_ks(settings: dict) -> tuple[int, ...]:
     if raw in (None, ""):
         return DEFAULT_KS
     try:
-        return tuple(int(part) for part in str(raw).split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ValueError(f"cutoff list must be comma-separated integers, got {raw!r}") from None
 
@@ -205,7 +207,7 @@ def cmd_eval(settings: dict) -> int:
     run_path = _existing_path(_require(settings, "run", "--run"), "run file")
     qrels_path = _existing_path(_require(settings, "qrels", "--qrels"), "qrels file")
     ks = _parse_ks(settings)
-    f1_mode = str(settings.get("f1_mode") or "per_query")
+    f1_mode = settings.get("f1_mode") or "per_query"
     per_query = bool(settings.get("per_query")) and _as_bool(settings, "per_query")
     run = load_run(run_path)
     qrels = load_qrels(qrels_path)
@@ -227,7 +229,7 @@ def _rank_buckets(run: dict, qrels: dict) -> list[tuple[str, int]]:
 
 
 def cmd_compare(settings: dict) -> int:
-    scorers = [s.strip() for s in str(settings.get("scorers") or DEFAULT_COMPARE_SCORERS).split(",") if s.strip()]
+    scorers = [s.strip() for s in (settings.get("scorers") or DEFAULT_COMPARE_SCORERS).split(",") if s.strip()]
     if not scorers:
         raise ValueError("no scorers given: --scorers needs at least one name")
     qrels = load_qrels(_existing_path(_require(settings, "qrels", "--qrels"), "qrels file"))
@@ -257,11 +259,10 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=list(PRESETS),
-                        help="normalization preset (default: standard)")
+    parser.add_argument("--preset", help=f"normalization preset: {', '.join(PRESETS)} (default: standard)")
     parser.add_argument("--stopwords", dest="stopword_file", metavar="FILE",
                         help="override the bundled stopword list")
-    parser.add_argument("--min-token-len", dest="min_token_len", type=int, metavar="N",
+    parser.add_argument("--min-token-len", dest="min_token_len", metavar="N",
                         help="drop tokens shorter than N during noise removal")
 
 
@@ -269,17 +270,17 @@ def _add_ranking_flags(parser: argparse.ArgumentParser) -> None:
     """The flags `search` and `compare` share: one place, so they cannot drift."""
     parser.add_argument("--index", metavar="FILE")
     parser.add_argument("--queries", metavar="FILE", help="query_id<TAB>query_text lines")
-    parser.add_argument("--top", dest="top_n", type=int, metavar="N",
+    parser.add_argument("--top", dest="top_n", metavar="N",
                         help=f"results per query (default {DEFAULT_TOP_N})")
     parser.add_argument("--corpus", metavar="DIR", help="the indexed raw corpus (rake_tfidf "
                         "only; its ids are checked against the index, its text is not)")
     parser.add_argument("--embeddings", metavar="FILE", help="embedding sidecar (embed only)")
-    parser.add_argument("--workers", type=int, help="parallel query scoring threads")
+    parser.add_argument("--workers", help="parallel query scoring threads")
     _add_pipeline_flags(parser)
-    parser.add_argument("--k1", type=float, help="BM25 k1 (default 1.5)")
-    parser.add_argument("--b", type=float, help="BM25 b (default 0.75)")
-    parser.add_argument("--epsilon", type=float, help="Okapi negative-IDF floor factor (default 0.25)")
-    parser.add_argument("--delta", type=float, help="BM25L/BM25+ delta (defaults 0.5/1.0)")
+    parser.add_argument("--k1", help="BM25 k1 (default 1.5)")
+    parser.add_argument("--b", help="BM25 b (default 0.75)")
+    parser.add_argument("--epsilon", help="Okapi negative-IDF floor factor (default 0.25)")
+    parser.add_argument("--delta", help="BM25L/BM25+ delta (defaults 0.5/1.0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="rank all queries and write a run file")
     _add_ranking_flags(p)
-    p.add_argument("--scorer", choices=list(SCORER_NAMES))
+    p.add_argument("--scorer", help=f"one of {', '.join(SCORER_NAMES)}")
     p.add_argument("--out", metavar="RUN")
     p.add_argument("--tag", help="run tag (default: scorer name)")
 
@@ -305,11 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", metavar="RUN")
     p.add_argument("--qrels", metavar="FILE")
     p.add_argument("--k", metavar="LIST", help="cutoffs, e.g. 1,3,5,10")
-    p.add_argument("--per-query", dest="per_query", action="store_true", default=None,
+    p.add_argument("--per-query", dest="per_query", action="store_const", const="true",
                    help="also print one row per query")
-    p.add_argument("--f1-mode", dest="f1_mode", choices=["per_query", "pooled"],
-                   help="aggregate F1 as mean of per-query F1 (default) or "
-                        "harmonic mean of mean P and mean R")
+    p.add_argument("--f1-mode", dest="f1_mode", help="per_query: mean of per-query F1 "
+                   "(default); pooled: harmonic mean of mean P and mean R")
 
     p = sub.add_parser("compare", help="run several scorers and tabulate quality")
     _add_ranking_flags(p)

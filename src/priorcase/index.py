@@ -262,6 +262,10 @@ def _write_bytes(out: BinaryIO, data: bytes) -> None:
     out.write(data)
 
 
+def _corrupt(what: str) -> IndexFormatError:
+    return IndexFormatError(f"corrupt index file: {what}")
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = memoryview(data)
@@ -269,7 +273,7 @@ class _Reader:
 
     def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
-            raise IndexFormatError("corrupt index file: truncated")
+            raise _corrupt("truncated")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -282,7 +286,7 @@ class _Reader:
         try:
             return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"corrupt index file: bad UTF-8 ({exc})") from None
+            raise _corrupt(f"bad UTF-8 ({exc})") from None
 
 
 def _flush(buf: io.BytesIO, out: BinaryIO, crc: int) -> int:
@@ -327,10 +331,6 @@ def persist_index(index: CorpusIndex, path: str | Path) -> None:
         out.write(struct.pack("<I", _flush(buf, out, crc)))
 
 
-def _corrupt(what: str) -> IndexFormatError:
-    return IndexFormatError(f"corrupt index file: {what}")
-
-
 def _strictly_ascending(items: Sequence[str]) -> bool:
     return all(a < b for a, b in zip(items, items[1:]))
 
@@ -349,10 +349,10 @@ def load_index(path: str | Path) -> CorpusIndex:
     if len(data) < 4 or not data.startswith(MAGIC):
         raise IndexFormatError("not an index file: bad magic")
     if len(data) < 12:
-        raise IndexFormatError("corrupt index file: truncated")
+        raise _corrupt("truncated")
     payload = memoryview(data)[:-4]
     if struct.unpack("<I", data[-4:])[0] != zlib.crc32(payload):
-        raise IndexFormatError("corrupt index file: checksum mismatch")
+        raise _corrupt("checksum mismatch")
 
     reader = _Reader(payload)
     reader.take(4)  # magic
@@ -379,7 +379,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         counts.append(reader.u32())
         blocks.append(reader.take(8 * counts[-1]))
     if reader.pos != len(payload):
-        raise IndexFormatError("corrupt index file: trailing bytes")
+        raise _corrupt("trailing bytes")
     blob = b"".join(blocks)
     del data, payload, reader, blocks  # every view of the file bytes, so they are freed
 

@@ -24,7 +24,7 @@ _WORD_OR_BREAK_RE = re.compile(r"([^\W_]+)|[^\w\s]|_", re.UNICODE)
 
 def candidate_phrases(raw: str, stopwords: Iterable[str]) -> list[tuple[str, ...]]:
     """Phrases as word tuples, lowercased, in order of appearance."""
-    stopset = stopwords if isinstance(stopwords, (set, frozenset)) else frozenset(stopwords)
+    stopset = frozenset(stopwords)
     phrases: list[tuple[str, ...]] = []
     current: list[str] = []
     for word in _findall_words(_WORD_OR_BREAK_RE, raw.lower()):

@@ -91,7 +91,7 @@ def tokenize_corpus(
     """
     stopset = frozenset()
     if config.remove_stopwords:
-        stopset = stopwords if isinstance(stopwords, (set, frozenset)) else frozenset(stopwords)
+        stopset = frozenset(stopwords)
         if not stopset:
             raise ValueError("stopword removal enabled but the stopword list is empty")
     stems: dict[str, str] = {}

@@ -22,6 +22,7 @@ from priorcase.rankers import SCORER_NAMES, BM25Params, Searcher
 from priorcase.textproc import (
     PRESET_FULL,
     PRESET_STANDARD,
+    PRESETS,
     PipelineConfig,
     pipeline_fingerprint,
     tokenize_corpus,
@@ -553,29 +554,74 @@ class TestConfigFile:
                        encoding="utf-8")
         assert main(["--config", str(cfg), "eval"]) == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_config", [False, True])
     @pytest.mark.parametrize("setting, error", [
-        ("top_n = ten", "config value 'top_n' must be an integer, got 'ten'"),
+        ("top_n = ten", "setting 'top_n' must be an integer, got 'ten'"),
         ("preset = tiny", "unknown preset 'tiny'; expected none, standard or full"),
         ("k = 1,x", "cutoff list must be comma-separated integers, got '1,x'"),
+        ("workers = two", "setting 'workers' must be an integer, got 'two'"),
+        ("min_token_len = 2.5", "setting 'min_token_len' must be an integer, got '2.5'"),
+        ("k1 = high", "setting 'k1' must be a number, got 'high'"),
+        ("f1_mode = macro", "f1_mode must be 'per_query' or 'pooled'"),
+        ("scorer = pagerank", "unknown scorer 'pagerank'; expected one of "
+                              f"{', '.join(SCORER_NAMES)}"),
     ])
-    def test_malformed_config_value_is_a_one_line_error(self, paths, capsys, setting, error):
+    def test_malformed_config_value_is_a_one_line_error(self, paths, capsys, setting, error,
+                                                        from_config):
+        # a flag and a file value go through the same check
         build_synthetic_index(paths)
         write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
         out = paths["tmp"] / "out"
+        search = ["search", "--index", paths["index"], "--queries", paths["queries"],
+                  "--out", str(out)]
+        index = ["index", "--corpus", paths["corpus"], "--out", str(out)]
+        evaluate = ["eval", "--run", paths["run"], "--qrels", paths["qrels"]]
         commands = {
-            "top_n": ["search", "--index", paths["index"], "--queries", paths["queries"],
-                      "--scorer", "bm25", "--out", str(out)],
-            "preset": ["index", "--corpus", paths["corpus"], "--out", str(out)],
-            "k": ["eval", "--run", paths["run"], "--qrels", paths["qrels"]],
+            "top_n": (search + ["--scorer", "bm25"], "--top"),
+            "workers": (search + ["--scorer", "bm25"], "--workers"),
+            "k1": (search + ["--scorer", "bm25"], "--k1"),
+            "scorer": (search, "--scorer"),
+            "preset": (index, "--preset"),
+            "min_token_len": (index, "--min-token-len"),
+            "k": (evaluate, "--k"),
+            "f1_mode": (evaluate, "--f1-mode"),
         }
-        cfg = paths["tmp"] / "bad.cfg"
-        cfg.write_text(setting + "\n", encoding="utf-8")
+        key, _, value = setting.split()
+        args, flag = commands[key]
+        if from_config:
+            cfg = paths["tmp"] / "bad.cfg"
+            cfg.write_text(setting + "\n", encoding="utf-8")
+            args = ["--config", str(cfg)] + args
+        else:
+            args = args + [flag, value]
         capsys.readouterr()
-        assert main(["--config", str(cfg)] + commands[setting.split()[0]]) == 1
+        assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_preset_name_is_case_blind_from_a_flag_and_a_file(self, paths):
+        cfg = paths["tmp"] / "full.cfg"
+        cfg.write_text("preset = FULL\n", encoding="utf-8")
+        flag_idx = paths["tmp"] / "flag.idx"
+        file_idx = paths["tmp"] / "file.idx"
+        assert main(["index", "--corpus", paths["corpus"], "--out", str(flag_idx),
+                     "--preset", "FULL"]) == 0
+        assert main(["--config", str(cfg), "index", "--corpus", paths["corpus"],
+                     "--out", str(file_idx)]) == 0
+        assert flag_idx.read_bytes() == file_idx.read_bytes()
+        assert load_index(flag_idx).fingerprint == pipeline_fingerprint(PRESET_FULL)
+
+    @pytest.mark.parametrize("command", ["search", "index"])
+    def test_help_names_every_scorer_and_preset(self, capsys, command):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--help"])
+        assert raised.value.code == 0
+        words = set(re.findall(r"\w+", capsys.readouterr().out))
+        assert words >= set(PRESETS)
+        if command == "search":
+            assert words >= set(SCORER_NAMES)
 
     def test_a_flag_wins_over_a_malformed_config_value(self, paths):
         build_synthetic_index(paths)
@@ -640,7 +686,7 @@ class TestConfigFile:
         code = main(["--config", str(cfg), "index", "--corpus", paths["corpus"],
                      "--out", str(paths["tmp"] / "x.idx")])
         assert code != 0
-        assert capsys.readouterr().err == "error: config value 'stem' must be true/false, got 'maybe'\n"
+        assert capsys.readouterr().err == "error: setting 'stem' must be true/false, got 'maybe'\n"
 
 
 class TestStopwordOverride:
