@@ -1,16 +1,17 @@
 """Command-line interface: index, search, eval, compare.
 
-Every option can also come from a configuration file of `key = value`
-lines (see docs/file_formats.md); flags win over file values.  A flag is
-text, converted and checked where a file value is, so a bad value gives
-the same one-line `error:` and exit 1 from either; argparse exits 2 only
-for an unknown flag, a flag with no value, or no command.
+Every option comes from a flag or a `key = value` configuration file
+(see docs/file_formats.md); a flag wins.  Either is text, converted and
+checked in one place, so a bad or empty value (`k =`), or a text input
+that is not UTF-8, gives one `error:` line and exit 1; argparse exits 2
+only for an unknown flag, a flag with no value, or no command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from .index import (
     persist_index,
     read_corpus_dir,
     read_queries_file,
+    read_text,
 )
 from .rankers import BM25Params, SCORER_NAMES, Searcher, check_scorers
 from .stopwords import ENGLISH_STOPWORDS, load_stopword_file
@@ -48,15 +50,14 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a `key = value` configuration file ('#' starts a comment)."""
     settings: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
     return settings
 
 
@@ -79,10 +80,9 @@ def _as_number(settings: dict, key: str, kind: type = float, default=None):
 
 
 def _require(settings: dict, key: str, flag: str) -> str:
-    value = settings.get(key)
-    if value in (None, ""):
+    if key not in settings:
         raise ValueError(f"missing required setting {key!r} (flag {flag})")
-    return value
+    return settings[key]
 
 
 def _existing_path(raw: str, kind: str) -> Path:
@@ -104,7 +104,7 @@ def _build_pipeline(settings: dict) -> tuple[PipelineConfig, frozenset[str]]:
     }
     config = dataclasses.replace(PRESETS[preset_name], **overrides)
 
-    if settings.get("stopword_file"):
+    if "stopword_file" in settings:
         stopwords = load_stopword_file(_existing_path(settings["stopword_file"], "stopword file"))
     else:
         stopwords = ENGLISH_STOPWORDS
@@ -117,13 +117,13 @@ def _build_params(settings: dict) -> BM25Params:
 
 
 def _parse_ks(settings: dict) -> tuple[int, ...]:
-    raw = settings.get("k")
-    if raw in (None, ""):
+    if "k" not in settings:
         return DEFAULT_KS
     try:
-        return tuple(int(part) for part in raw.split(","))
+        return tuple(int(part) for part in settings["k"].split(","))
     except ValueError:
-        raise ValueError(f"cutoff list must be comma-separated integers, got {raw!r}") from None
+        raise ValueError("cutoff list must be comma-separated integers, "
+                         f"got {settings['k']!r}") from None
 
 
 def _build_searcher(settings: dict, scorers: list[str], index_path: Path) -> Searcher:
@@ -188,7 +188,7 @@ def cmd_search(settings: dict) -> int:
     scorer = _require(settings, "scorer", "--scorer")
     out = _require(settings, "out", "--out")
     searcher, queries, runs = _rank_all(settings, [scorer])
-    write_run(runs[scorer], out, settings.get("tag") or scorer)
+    write_run(runs[scorer], out, settings.get("tag", scorer))
     print(f"ranked {len(runs[scorer])} queries with {scorer} -> {out}")
     # queries that normalize to no tokens, or to none in the index
     unmatched = sum(
@@ -207,8 +207,8 @@ def cmd_eval(settings: dict) -> int:
     run_path = _existing_path(_require(settings, "run", "--run"), "run file")
     qrels_path = _existing_path(_require(settings, "qrels", "--qrels"), "qrels file")
     ks = _parse_ks(settings)
-    f1_mode = settings.get("f1_mode") or "per_query"
-    per_query = bool(settings.get("per_query")) and _as_bool(settings, "per_query")
+    f1_mode = settings.get("f1_mode", "per_query")
+    per_query = "per_query" in settings and _as_bool(settings, "per_query")
     run = load_run(run_path)
     qrels = load_qrels(qrels_path)
     report = evaluate_run(run, qrels, ks, f1_mode=f1_mode)
@@ -229,7 +229,7 @@ def _rank_buckets(run: dict, qrels: dict) -> list[tuple[str, int]]:
 
 
 def cmd_compare(settings: dict) -> int:
-    scorers = [s.strip() for s in (settings.get("scorers") or DEFAULT_COMPARE_SCORERS).split(",") if s.strip()]
+    scorers = [s.strip() for s in settings.get("scorers", DEFAULT_COMPARE_SCORERS).split(",") if s.strip()]
     if not scorers:
         raise ValueError("no scorers given: --scorers needs at least one name")
     qrels = load_qrels(_existing_path(_require(settings, "qrels", "--qrels"), "qrels file"))
@@ -338,8 +338,15 @@ def main(argv: list[str] | None = None) -> int:
             if key in ("config", "command") or value is None:
                 continue
             settings[key] = value
-        return _COMMANDS[args.command](settings)
+        for key, value in settings.items():
+            if not value:
+                raise ValueError(f"setting {key!r} has no value")
+        code = _COMMANDS[args.command](settings)
+        sys.stdout.flush()  # a reader that has gone is seen here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # stdout's reader left: devnull takes the rest (Python's recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .index import read_text
+
 
 class EmbeddingStore:
     """Chunk vectors keyed by document/query id."""
@@ -45,9 +47,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Parse an embedding sidecar file into a store; a norm that overflows is an error."""
     rows: dict[str, dict[int, np.ndarray]] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8-sig") as fh, np.errstate(over="ignore"):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with np.errstate(over="ignore"):
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
             if not line:
                 continue
             parts = line.split("\t")

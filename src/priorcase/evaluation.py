@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .index import atomic_open
+from .index import atomic_open, read_text
 
 Qrels = dict[str, set[str]]
 #: query id -> ranked (doc_id, score) list, best first
@@ -151,20 +151,18 @@ def load_qrels(path: str | Path) -> Qrels:
     set, which `evaluate_run` reports as skipped.
     """
     qrels: Qrels = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'query_id 0 doc_id rel'")
-            qid, _unused, doc_id, rel = parts
-            if rel not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel!r}")
-            qrels.setdefault(qid, set())
-            if rel == "1":
-                qrels[qid].add(doc_id)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 'query_id 0 doc_id rel'")
+        qid, _unused, doc_id, rel = parts
+        if rel not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel!r}")
+        qrels.setdefault(qid, set())
+        if rel == "1":
+            qrels[qid].add(doc_id)
     if not qrels:
         raise ValueError(f"no judgments found in {path}")
     return qrels
@@ -182,10 +180,7 @@ def load_run(path: str | Path) -> Run:
     """
     columns: dict[str, tuple[list[int], list[str], list[float]]] = defaultdict(
         lambda: ([], [], []))
-    with open(path, encoding="utf-8-sig") as fh:
-        # text mode turns every line ending into "\n", so these are its lines
-        lines = fh.read().split("\n")
-    for lineno, parts in enumerate(map(str.split, lines), start=1):
+    for lineno, parts in enumerate(map(str.split, read_text(path).split("\n")), start=1):
         if len(parts) != 6:
             if parts:
                 raise ValueError(

@@ -253,6 +253,16 @@ def atomic_open(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, less a leading BOM; a file that is not UTF-8 is a ValueError naming it.
+
+    As in any text-mode read, every line end reads as `"\n"`."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_u32(out: BinaryIO, value: int) -> None:
     out.write(struct.pack("<I", value))
 
@@ -454,30 +464,21 @@ def read_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     for prev, entry in zip(entries, entries[1:]):
         if prev.stem == entry.stem:
             raise DuplicateDocIdError(entry.stem)
-    docs = []
-    for entry in entries:
-        try:
-            text = entry.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{entry}: {exc}") from None
-        docs.append((entry.stem, text))
-    return docs
+    return [(entry.stem, read_text(entry)) for entry in entries]
 
 
 def read_queries_file(path: str | Path) -> list[tuple[str, str]]:
     """Read a two-column `query_id<TAB>query_text` file."""
     queries = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'query_id<TAB>query_text'")
-            qid, text = line.split("\t", 1)
-            if not qid or any(ch.isspace() for ch in qid):
-                raise ValueError(f"{path}:{lineno}: invalid query id {qid!r}")
-            queries.append((qid, text))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'query_id<TAB>query_text'")
+        qid, text = line.split("\t", 1)
+        if not qid or any(ch.isspace() for ch in qid):
+            raise ValueError(f"{path}:{lineno}: invalid query id {qid!r}")
+        queries.append((qid, text))
     if not queries:
         raise ValueError(f"no queries found in {path}")
     seen = set()

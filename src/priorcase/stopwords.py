@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .index import read_text
+
 ENGLISH_STOPWORDS: frozenset[str] = frozenset((
     "i", "me", "my", "myself", "we", "our", "ours", "ourselves",
     "you", "you're", "you've", "you'll", "you'd", "your", "yours",
@@ -45,10 +47,9 @@ def load_stopword_file(path: str | Path) -> frozenset[str]:
     Blank lines and lines beginning with '#' are ignored.
     """
     words = set()
-    with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            words.add(word)
+    for line in read_text(path).split("\n"):
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        words.add(word)
     return frozenset(words)

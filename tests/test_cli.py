@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,16 +95,35 @@ class TestIndexCommand:
         assert capsys.readouterr().err == "error: invalid document id: 'bad\\udcffname'\n"
         assert not Path(paths["index"]).exists()
 
-    def test_corpus_file_that_is_not_utf8_is_named(self, paths, capsys):
+    @pytest.mark.parametrize("kind", ["corpus", "queries", "qrels", "run", "config",
+                                      "stopwords", "embeddings"])
+    def test_text_input_that_is_not_utf8_is_named(self, paths, capsys, kind):
+        build_synthetic_index(paths)
+        write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
         corpus = paths["tmp"] / "latin1"
         shutil.copytree(paths["corpus"], corpus)
-        (corpus / "zz.txt").write_bytes(b"caf\xe9")
-        code = main(["index", "--corpus", str(corpus), "--out", paths["index"]])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"error: {corpus / 'zz.txt'}: 'utf-8' codec can't decode byte 0xe9")
-        assert err.count("\n") == 1
-        assert not Path(paths["index"]).exists()
+        bad = corpus / "zz.txt" if kind == "corpus" else paths["tmp"] / "bad.txt"
+        bad.write_bytes(b"caf\xff\n")
+        out = paths["tmp"] / "out"
+        index = ["index", "--corpus", paths["corpus"], "--out", str(out)]
+        search = ["search", "--index", paths["index"], "--out", str(out)]
+        args = {
+            "corpus": ["index", "--corpus", str(corpus), "--out", str(out)],
+            "queries": search + ["--queries", str(bad), "--scorer", "bm25"],
+            "qrels": ["eval", "--run", paths["run"], "--qrels", str(bad)],
+            "run": ["eval", "--run", str(bad), "--qrels", paths["qrels"]],
+            "config": ["--config", str(bad)] + index,
+            "stopwords": index + ["--stopwords", str(bad)],
+            "embeddings": search + ["--queries", paths["queries"], "--scorer", "embed",
+                                    "--embeddings", str(bad)],
+        }[kind]
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_full_preset_bytes_match_the_per_text_pipeline(self, paths):
         code = main(["index", "--preset", "full", "--corpus", paths["corpus"], "--out", paths["index"]])
@@ -382,6 +403,22 @@ class TestEvalCommand:
         assert captured.err == "error: cutoff 3 is given more than once\n"
 
 
+    def test_a_reader_that_has_gone_is_not_an_error(self, paths):
+        # as in `priorcase eval ... --per-query | head -1` once `head` has exited
+        write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "priorcase", "eval", "--run", paths["run"],
+                 "--qrels", paths["qrels"], "--per-query"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+
 class TestCompareCommand:
     def test_rows_sorted_by_p10_then_name(self, paths, capsys):
         build_synthetic_index(paths)
@@ -554,17 +591,23 @@ class TestConfigFile:
                        encoding="utf-8")
         assert main(["--config", str(cfg), "eval"]) == 0, capsys.readouterr().err
 
-    @pytest.mark.parametrize("from_config", [False, True])
-    @pytest.mark.parametrize("setting, error", [
-        ("top_n = ten", "setting 'top_n' must be an integer, got 'ten'"),
-        ("preset = tiny", "unknown preset 'tiny'; expected none, standard or full"),
-        ("k = 1,x", "cutoff list must be comma-separated integers, got '1,x'"),
-        ("workers = two", "setting 'workers' must be an integer, got 'two'"),
-        ("min_token_len = 2.5", "setting 'min_token_len' must be an integer, got '2.5'"),
-        ("k1 = high", "setting 'k1' must be a number, got 'high'"),
-        ("f1_mode = macro", "f1_mode must be 'per_query' or 'pooled'"),
-        ("scorer = pagerank", "unknown scorer 'pagerank'; expected one of "
-                              f"{', '.join(SCORER_NAMES)}"),
+    @pytest.mark.parametrize("setting, error, from_config", [
+        (setting, error, from_config)
+        for setting, error in [
+            ("top_n = ten", "setting 'top_n' must be an integer, got 'ten'"),
+            ("preset = tiny", "unknown preset 'tiny'; expected none, standard or full"),
+            ("k = 1,x", "cutoff list must be comma-separated integers, got '1,x'"),
+            ("workers = two", "setting 'workers' must be an integer, got 'two'"),
+            ("min_token_len = 2.5", "setting 'min_token_len' must be an integer, got '2.5'"),
+            ("k1 = high", "setting 'k1' must be a number, got 'high'"),
+            ("f1_mode = macro", "f1_mode must be 'per_query' or 'pooled'"),
+            ("scorer = pagerank", "unknown scorer 'pagerank'; expected one of "
+                                  f"{', '.join(SCORER_NAMES)}"),
+            *((f"{key} =", f"setting {key!r} has no value")
+              for key in ("k", "per_query", "f1_mode", "scorers", "tag")),
+        ]
+        for from_config in (False, True)
+        if from_config or setting != "per_query ="  # `--per-query` takes no value
     ])
     def test_malformed_config_value_is_a_one_line_error(self, paths, capsys, setting, error,
                                                         from_config):
@@ -576,8 +619,13 @@ class TestConfigFile:
                   "--out", str(out)]
         index = ["index", "--corpus", paths["corpus"], "--out", str(out)]
         evaluate = ["eval", "--run", paths["run"], "--qrels", paths["qrels"]]
+        compare = ["compare", "--index", paths["index"], "--queries", paths["queries"],
+                   "--qrels", paths["qrels"]]
         commands = {
             "top_n": (search + ["--scorer", "bm25"], "--top"),
+            "tag": (search + ["--scorer", "bm25"], "--tag"),
+            "scorers": (compare, "--scorers"),
+            "per_query": (evaluate, "--per-query"),
             "workers": (search + ["--scorer", "bm25"], "--workers"),
             "k1": (search + ["--scorer", "bm25"], "--k1"),
             "scorer": (search, "--scorer"),
@@ -586,7 +634,7 @@ class TestConfigFile:
             "k": (evaluate, "--k"),
             "f1_mode": (evaluate, "--f1-mode"),
         }
-        key, _, value = setting.split()
+        key, value = (part.strip() for part in setting.split("="))
         args, flag = commands[key]
         if from_config:
             cfg = paths["tmp"] / "bad.cfg"
@@ -631,6 +679,17 @@ class TestConfigFile:
                      "--queries", paths["queries"], "--scorer", "bm25",
                      "--out", paths["run"], "--top", "3"]) == 0
         assert all(len(r) == 3 for r in load_run(paths["run"]).values())
+
+    def test_a_flag_wins_over_an_empty_config_value(self, paths, capsys):
+        write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
+        cfg = paths["tmp"] / "k.cfg"
+        cfg.write_text("k =\n", encoding="utf-8")
+        evaluate = ["eval", "--run", paths["run"], "--qrels", paths["qrels"], "--k", "1"]
+        assert main(evaluate) == 0
+        expected = capsys.readouterr().out
+        assert "P@1 " in expected and "P@10" not in expected
+        assert main(["--config", str(cfg)] + evaluate) == 0
+        assert capsys.readouterr().out == expected
 
     def test_malformed_config_line(self, paths, capsys):
         cfg = paths["tmp"] / "bad.cfg"

@@ -527,8 +527,8 @@ class TestIngestion:
             read_corpus_dir(tmp_path)
 
     def test_read_corpus_dir_rejects_duplicate_ids_before_reading(self, tmp_path):
-        # no file is valid UTF-8: reading any of them would raise
-        # UnicodeDecodeError instead
+        # no file is valid UTF-8: reading any of them would raise the
+        # ValueError that names a file that is not UTF-8 instead
         for name in ("a.txt", "a.md", "b.txt"):
             (tmp_path / name).write_bytes(b"\xff\xfe")
         with pytest.raises(DuplicateDocIdError, match="'a'"):
