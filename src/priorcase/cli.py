@@ -117,13 +117,13 @@ def _build_params(settings: dict) -> BM25Params:
 
 
 def _parse_ks(settings: dict) -> tuple[int, ...]:
-    if "k" not in settings:
+    raw = settings.get("k")
+    if raw is None:
         return DEFAULT_KS
     try:
-        return tuple(int(part) for part in settings["k"].split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise ValueError("cutoff list must be comma-separated integers, "
-                         f"got {settings['k']!r}") from None
+        raise ValueError(f"cutoff list must be comma-separated integers, got {raw!r}") from None
 
 
 def _build_searcher(settings: dict, scorers: list[str], index_path: Path) -> Searcher:

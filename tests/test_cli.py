@@ -402,7 +402,6 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err == "error: cutoff 3 is given more than once\n"
 
-
     def test_a_reader_that_has_gone_is_not_an_error(self, paths):
         # as in `priorcase eval ... --per-query | head -1` once `head` has exited
         write_run({"q1": [("case01", 1.0)]}, paths["run"], "t")
