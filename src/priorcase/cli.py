@@ -29,6 +29,7 @@ from .evaluation import (
 from .index import (
     build_index,
     load_index,
+    number_text,
     persist_index,
     read_corpus_dir,
     read_queries_file,
@@ -73,7 +74,7 @@ def _as_number(settings: dict, key: str, kind: type = float, default=None):
     if settings.get(key) is None:
         return default
     try:
-        return kind(settings[key])
+        return kind(number_text(settings[key]))
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"setting {key!r} must be {noun}, got {settings[key]!r}") from None
@@ -121,34 +122,32 @@ def _parse_ks(settings: dict) -> tuple[int, ...]:
     if raw is None:
         return DEFAULT_KS
     try:
-        return tuple(int(part) for part in raw.split(","))
+        return tuple(int(number_text(part)) for part in raw.split(","))
     except ValueError:
         raise ValueError(f"cutoff list must be comma-separated integers, got {raw!r}") from None
 
 
 def _build_searcher(settings: dict, scorers: list[str], index_path: Path) -> Searcher:
-    index = load_index(index_path)
+    """Every cheap setting is checked before the index loads."""
     config, stopwords = _build_pipeline(settings)
     params = _build_params(settings)
-    embeddings = None
+    sidecar = corpus_dir = None
     if "embed" in scorers:
-        path = _existing_path(
+        sidecar = _existing_path(
             _require(settings, "embeddings", "--embeddings"), "embedding sidecar"
         )
-        embeddings = load_embeddings(path)
-    corpus_texts = None
     if "rake_tfidf" in scorers:
         corpus_dir = _existing_path(
             _require(settings, "corpus", "--corpus"), "corpus directory"
         )
-        corpus_texts = dict(read_corpus_dir(corpus_dir))
+    index = load_index(index_path)
     return Searcher(
         index,
         config=config,
         stopwords=stopwords,
         params=params,
-        embeddings=embeddings,
-        corpus_texts=corpus_texts,
+        embeddings=load_embeddings(sidecar) if sidecar else None,
+        corpus_texts=dict(read_corpus_dir(corpus_dir)) if corpus_dir else None,
     )
 
 
@@ -178,8 +177,8 @@ def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict]
     top_n = _as_number(settings, "top_n", int, DEFAULT_TOP_N)
     workers = _as_number(settings, "workers", int, 1)
 
-    searcher = _build_searcher(settings, scorers, index_path)
     queries = read_queries_file(queries_path)
+    searcher = _build_searcher(settings, scorers, index_path)
     runs = {s: searcher.search_all(queries, s, top_n=top_n, workers=workers) for s in scorers}
     return searcher, queries, runs
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .index import read_text
+from .index import number_text, read_text
 
 
 class EmbeddingStore:
@@ -56,8 +56,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 raise ValueError(f"{path}:{lineno}: expected 'id<TAB>chunk_index<TAB>values'")
             key, chunk_s, values_s = parts
             try:
-                chunk = int(chunk_s)
-                vec = np.array([float(x) for x in values_s.split()], dtype=np.float64)
+                chunk = int(number_text(chunk_s))
+                vec = np.array([float(x) for x in number_text(values_s).split()], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed chunk index or vector") from None
             if vec.size == 0:

@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .index import atomic_open, read_text
+from .index import atomic_open, number_text, read_text
 
 Qrels = dict[str, set[str]]
 #: query id -> ranked (doc_id, score) list, best first
@@ -189,10 +189,10 @@ def load_run(path: str | Path) -> Run:
             continue
         qid, _q0, doc_id, rank, score, _tag = parts
         try:
-            # `int` and `float` would also take `_`, a signed rank and non-ASCII digits
-            if not (rank.isdigit() and rank.isascii()) or "_" in score or not score.isascii():
+            # `int` would also take a signed rank
+            if not rank.isdigit():
                 raise ValueError
-            rank, score = int(rank), float(score)
+            rank, score = int(number_text(rank)), float(number_text(score))
             if not math.isfinite(score):
                 raise ValueError
         except ValueError:

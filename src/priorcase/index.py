@@ -9,15 +9,18 @@ In memory the postings are CSR arrays (compressed sparse rows):
 
     terms      ascending; term i's postings are offsets[i]:offsets[i + 1]
     offsets    int64, n_terms + 1 entries, offsets[0] == 0
-    positions  int32 document positions, strictly ascending within a term
-    tfs        int32 term frequencies, all >= 1
+    positions  document positions, strictly ascending within a term
+    tfs        term frequencies, all >= 1
     doc_ids    ascending; position p is document doc_ids[p]
     lengths    int64 token count per position
 
-Every array is contiguous, read-only and owns its data.  Peak working
-memory, traced with P = 8 bytes per posting: build 2.2 P, persist P plus
-about 2 MB, load 2.3 x the file size, `Searcher` 0.3 P; see
-docs/file_formats.md for what each stage holds.
+`positions` and `tfs` are the narrowest unsigned types that hold
+n_docs - 1 and the longest document's length (`_postings_dtypes`), so
+desk scale's 3,000 documents of about 2,000 tokens take 4 bytes per
+posting.  Every array is contiguous, read-only and owns its data.  Peak
+working memory, traced with P = 8 bytes per posting of the file: build
+2.2 P, persist P plus about 2 MB, load 2.0 x the file size, `Searcher`
+0.3 P; see docs/file_formats.md for what each stage holds.
 
 Persisted layout (little-endian, version 1):
 
@@ -56,7 +59,7 @@ import numpy as np
 MAGIC = b"PCIX"
 FORMAT_VERSION = 1
 _INT32_MAX = np.iinfo(np.int32).max
-_SLICE = 1 << 14  # postings per slice of the load length check and the `Searcher` norms
+_SLICE = 1 << 14  # postings per block of whole terms in `load_index` and the `Searcher` norms
 
 
 class IndexFormatError(ValueError):
@@ -164,6 +167,20 @@ def _check_doc_id(doc_id: str) -> None:
         raise ValueError(f"invalid document id: {doc_id!r}")
 
 
+def _postings_dtypes(n_docs: int, longest: int) -> tuple[np.dtype, np.dtype]:
+    """The narrowest unsigned types of `positions` and `tfs` for `n_docs`
+    documents whose longest has `longest` tokens, which bounds every tf."""
+    return np.min_scalar_type(n_docs - 1), np.min_scalar_type(longest)
+
+
+def _term_blocks(offsets: np.ndarray, size: int) -> list[int]:
+    """The term ids that cut the postings into blocks of whole terms of
+    about `size` postings: block k holds the terms whose postings end in
+    (k * size, (k + 1) * size]."""
+    ends = np.arange(0, offsets[-1] + size, size)
+    return sorted(set(np.searchsorted(offsets[1:], ends, side="right").tolist()))
+
+
 def build_index(
     docs: Iterable[tuple[str, list[str]]],
     fingerprint: str,
@@ -196,6 +213,7 @@ def build_index(
 
     terms = sorted(vocab)
     n_terms, n_docs = len(terms), len(doc_ids)
+    position_type, tf_type = _postings_dtypes(n_docs, max(lengths))
     # key = term rank * n_docs + doc position: unique, so any sort gives one order
     key_type = np.int32 if n_terms * n_docs <= _INT32_MAX else np.int64
     key_of_vocab_id = np.empty(n_terms, key_type)
@@ -207,22 +225,25 @@ def build_index(
     del tf_chunks
     if key_type is np.int32:  # sort (key << 32 | tf) in place, then unpack both halves
         packed = np.left_shift(key, 32, dtype=np.int64)
-        del key
         packed |= tfs
+        del key, tfs
         packed.sort()
-        np.bitwise_and(packed, 0xFFFFFFFF, out=tfs, casting="unsafe")
-        positions = np.right_shift(packed, 32, out=np.empty_like(tfs), casting="unsafe")
+        tfs = np.bitwise_and(packed, 0xFFFFFFFF, out=np.empty(packed.size, tf_type),
+                             casting="unsafe")
+        key = np.right_shift(packed, 32, out=np.empty(packed.size, np.int32), casting="unsafe")
         del packed
     else:
-        by_term_then_doc = np.argsort(key)
-        positions, tfs = key[by_term_then_doc], tfs[by_term_then_doc]
-        del key, by_term_then_doc
-    offsets = np.searchsorted(positions, np.arange(n_terms + 1, dtype=key_type) * n_docs)
-    positions %= n_docs
+        order = np.argsort(key)
+        key, tfs = key[order], tfs[order].astype(tf_type, copy=False)
+        del order
+    offsets = np.searchsorted(key, np.arange(n_terms + 1, dtype=key_type) * n_docs)
+    positions = np.remainder(key, n_docs, out=np.empty(key.size, position_type),
+                             casting="unsafe")
+    del key
     return CorpusIndex(
         terms=terms,
         offsets=offsets,
-        positions=positions.astype(np.int32, copy=False),
+        positions=positions,
         tfs=tfs,
         doc_ids=doc_ids,
         lengths=np.array(lengths, np.int64),
@@ -261,6 +282,14 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def number_text(text: str) -> str:
+    """`text`, for `int` or `float` to read; ValueError if it holds `_` or a
+    character that is not ASCII, which those take and no input's grammar does."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
 
 
 def _write_u32(out: BinaryIO, value: int) -> None:
@@ -390,8 +419,6 @@ def load_index(path: str | Path) -> CorpusIndex:
         blocks.append(reader.take(8 * counts[-1]))
     if reader.pos != len(payload):
         raise _corrupt("trailing bytes")
-    blob = b"".join(blocks)
-    del data, payload, reader, blocks  # every view of the file bytes, so they are freed
 
     if n_docs == 0:
         raise _corrupt("no documents")
@@ -401,26 +428,33 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise _corrupt("terms not strictly ascending")
     if 0 in counts:
         raise _corrupt("term with no postings")
-    pairs = np.frombuffer(blob, "<u4").reshape(-1, 2)
-    positions, tfs = pairs[:, 0], pairs[:, 1]
     offsets = np.zeros(n_terms + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
-    if positions.size and positions.max() >= n_docs:
-        raise _corrupt("posting points past document table")
-    ascending = positions[1:] > positions[:-1]
-    ascending[offsets[1:-1] - 1] = True  # a new term may start anywhere
-    if not ascending.all():
-        raise _corrupt("positions not strictly ascending within a term")
-    if tfs.size and (tfs.min() == 0 or tfs.max() > _INT32_MAX):
-        raise _corrupt("term frequency outside [1, 2**31)")
-    positions, tfs = positions.astype(np.int32), tfs.astype(np.int32)
-    del pairs, blob
-    doc_lengths = np.array(lengths, np.int64)
-    # bincount casts to int64 and float64, so sum slice by slice; these sums are exact
+    longest = max(lengths)
+    positions, tfs = (np.empty(offsets[-1], dtype) for dtype in _postings_dtypes(n_docs, longest))
+    # each block of whole terms is checked, then narrowed into place; bincount
+    # casts to int64 and float64, so the length sums go block by block and are exact
     sums = np.zeros(n_docs)
-    for lo in range(0, positions.size, _SLICE):
-        sums += np.bincount(positions[lo : lo + _SLICE], weights=tfs[lo : lo + _SLICE],
-                            minlength=n_docs)
+    edges = _term_blocks(offsets, _SLICE)
+    for lo, hi in zip(edges, edges[1:]):
+        start, end = offsets[lo], offsets[hi]
+        pairs = np.frombuffer(b"".join(blocks[lo:hi]), "<u4").reshape(-1, 2)
+        pos, tf = pairs[:, 0], pairs[:, 1]
+        if pos.max() >= n_docs:
+            raise _corrupt("posting points past document table")
+        ascending = pos[1:] > pos[:-1]
+        ascending[offsets[lo + 1 : hi] - start - 1] = True  # a new term may start anywhere
+        if not ascending.all():
+            raise _corrupt("positions not strictly ascending within a term")
+        top = tf.max()
+        if tf.min() == 0 or top > _INT32_MAX:
+            raise _corrupt("term frequency outside [1, 2**31)")
+        if top > longest:  # it would wrap in the narrow type
+            raise _corrupt("term frequencies do not sum to document lengths")
+        positions[start:end], tfs[start:end] = pos, tf
+        sums += np.bincount(positions[start:end], weights=tfs[start:end], minlength=n_docs)
+    del data, payload, reader, blocks  # every view of the file bytes, so they are freed
+    doc_lengths = np.array(lengths, np.int64)
     if not np.array_equal(sums, doc_lengths):
         raise _corrupt("term frequencies do not sum to document lengths")
     if not doc_lengths.any():

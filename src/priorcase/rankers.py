@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .index import _SLICE, CorpusIndex, PipelineMismatchError
+from .index import _SLICE, CorpusIndex, PipelineMismatchError, _term_blocks
 from .rake import keyword_words
 from .stopwords import ENGLISH_STOPWORDS
 from .textproc import PipelineConfig, TokenStream, pipeline_fingerprint, tokenize_normalize
@@ -303,9 +303,7 @@ class Searcher:
         postings each extend the running sums in one bincount: the same
         additions as one bincount over all.  IDF 0.0 adds +0.0, a no-op."""
         idx = self.index
-        # block k: the terms whose postings end in (k * _SLICE, (k + 1) * _SLICE]
-        edges = sorted(set(np.searchsorted(idx.offsets[1:], np.arange(
-            0, idx.positions.size + _SLICE, _SLICE), side="right").tolist()))
+        edges = _term_blocks(idx.offsets, _SLICE)
         every_doc = np.arange(idx.n_docs)
         sums = np.zeros(idx.n_docs)
         for lo, hi in zip(edges, edges[1:]):
@@ -351,7 +349,7 @@ class Searcher:
         operations in its order, the query-free factors from tables."""
         counts, df, pos, tf = postings
         k1 = self.params.k1
-        # `take` gathers by int32 positions about twice as fast as indexing
+        # `take` gathers by position about twice as fast as indexing
         if variant is Variant.BM25L:
             delta = self.params.delta_for(variant)
             ctd = tf / self._norm.take(pos)

@@ -336,6 +336,31 @@ class TestSearchCommand:
         assert code != 0
         assert "embeddings" in capsys.readouterr().err
 
+    def test_queries_file_is_read_before_the_index(self, paths, capsys):
+        # a full-preset index would fail the standard pipeline if it were loaded first
+        assert main(["index", "--corpus", paths["corpus"], "--out", paths["index"],
+                     "--preset", "full"]) == 0
+        capsys.readouterr()
+        code = main(["search", "--index", paths["index"], "--queries", str(paths["tmp"]),
+                     "--scorer", "bm25", "--out", paths["run"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(paths['tmp'])!r}\n"
+        assert not Path(paths["run"]).exists()
+
+    @pytest.mark.parametrize("scorer, flag, error", [
+        ("embed", "--embeddings", "embedding sidecar not found"),
+        ("rake_tfidf", "--corpus", "corpus directory not found"),
+    ])
+    def test_missing_sidecar_or_corpus_is_found_before_the_index_loads(
+            self, paths, capsys, scorer, flag, error):
+        Path(paths["index"]).write_bytes(b"not an index")
+        missing = paths["tmp"] / "missing"
+        capsys.readouterr()
+        code = main(["search", "--index", paths["index"], "--queries", paths["queries"],
+                     "--scorer", scorer, flag, str(missing), "--out", paths["run"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}: {missing}\n"
+
 
 class TestEvalCommand:
     def test_report_matches_fixture(self, paths, synthetic_dir, capsys):
@@ -604,6 +629,13 @@ class TestConfigFile:
                                   f"{', '.join(SCORER_NAMES)}"),
             *((f"{key} =", f"setting {key!r} has no value")
               for key in ("k", "per_query", "f1_mode", "scorers", "tag")),
+            # Python's `int` and `float` take these forms; no setting does
+            ("top_n = 1_0", "setting 'top_n' must be an integer, got '1_0'"),
+            ("k1 = 1_5", "setting 'k1' must be a number, got '1_5'"),
+            ("workers = \u0662", "setting 'workers' must be an integer, got '\u0662'"),
+            ("min_token_len = \u0663", "setting 'min_token_len' must be an integer, got '\u0663'"),
+            ("k = 1,1_0", "cutoff list must be comma-separated integers, got '1,1_0'"),
+            ("k = \u0661,3", "cutoff list must be comma-separated integers, got '\u0661,3'"),
         ]
         for from_config in (False, True)
         if from_config or setting != "per_query ="  # `--per-query` takes no value

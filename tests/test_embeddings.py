@@ -94,8 +94,14 @@ class TestSidecar:
         ("a\t0\t1 2\nb\t0\t1.3e154 1.3e154\n", ":2: vector norm overflows to inf"),
         ("", "no embeddings found"),
         ("\n\n", "no embeddings found"),
+        # Python's `int` and `float` take these forms; the sidecar grammar does not
+        ("a\t0\t1_0 2\n", ":1: malformed chunk index or vector$"),
+        ("a\t0\t1 2\na\t\u0661\t3 4\n", ":2: malformed chunk index or vector$"),
+        ("a\t0\t\u0663 2\n", ":1: malformed chunk index or vector$"),
+        ("a\t1_0\t1 2\n", ":1: malformed chunk index or vector$"),
     ], ids=["two-columns", "empty-vector", "nan", "norm-1e200", "norm-1.3e154", "no-lines",
-            "blank-lines"])
+            "blank-lines", "underscore-component", "arabic-indic-chunk",
+            "arabic-indic-component", "underscore-chunk"])
     # an overflowing norm is the error, not a numpy warning
     @pytest.mark.filterwarnings("error")
     def test_malformed_sidecar_rejected(self, tmp_path, text, message):

@@ -713,8 +713,10 @@ def test_postings_equal_the_csr_slices(word_lists, query):
     index = build_index([(f"d{i}", words) for i, words in enumerate(word_lists)], "fp")
     searcher = Searcher(index)
     counts, df, pos, tf = searcher._postings(query)
+    # positions and tfs keep the index's narrowest widths
     assert (counts.dtype, df.dtype, pos.dtype, tf.dtype) == (
-        np.float64, np.int64, np.int32, np.int32)
+        np.float64, np.int64, np.min_scalar_type(len(word_lists) - 1),
+        np.min_scalar_type(max(map(len, word_lists))))
     assert [counts.tolist(), df.tolist(), pos.tolist(), tf.tolist()] == list(
         reference_postings(index, query))
     # the full ranking names position p by index.doc_ids[p]
