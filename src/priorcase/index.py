@@ -19,7 +19,7 @@ n_docs - 1 and the longest document's length (`_postings_dtypes`), so
 desk scale's 3,000 documents of about 2,000 tokens take 4 bytes per
 posting.  Every array is contiguous, read-only and owns its data.  Peak
 working memory, traced with P = 8 bytes per posting of the file: build
-2.2 P, persist P plus about 2 MB, load 2.0 x the file size, `Searcher`
+2.2 P, persist P plus about 2 MB, load 1.9 x the file size, `Searcher`
 0.3 P; see docs/file_formats.md for what each stage holds.
 
 Persisted layout (little-endian, version 1):
@@ -412,11 +412,12 @@ def load_index(path: str | Path) -> CorpusIndex:
     n_terms = reader.u32()
     terms: list[str] = []
     counts: list[int] = []
-    blocks: list[memoryview] = []
+    starts: list[int] = []  # each term's posting block; a memoryview would take 184 bytes a term
     for _ in range(n_terms):
         terms.append(reader.string())
         counts.append(reader.u32())
-        blocks.append(reader.take(8 * counts[-1]))
+        starts.append(reader.pos)
+        reader.take(8 * counts[-1])
     if reader.pos != len(payload):
         raise _corrupt("trailing bytes")
 
@@ -438,7 +439,8 @@ def load_index(path: str | Path) -> CorpusIndex:
     edges = _term_blocks(offsets, _SLICE)
     for lo, hi in zip(edges, edges[1:]):
         start, end = offsets[lo], offsets[hi]
-        pairs = np.frombuffer(b"".join(blocks[lo:hi]), "<u4").reshape(-1, 2)
+        block = b"".join([payload[at : at + 8 * n] for at, n in zip(starts[lo:hi], counts[lo:hi])])
+        pairs = np.frombuffer(block, "<u4").reshape(-1, 2)
         pos, tf = pairs[:, 0], pairs[:, 1]
         if pos.max() >= n_docs:
             raise _corrupt("posting points past document table")
@@ -453,7 +455,7 @@ def load_index(path: str | Path) -> CorpusIndex:
             raise _corrupt("term frequencies do not sum to document lengths")
         positions[start:end], tfs[start:end] = pos, tf
         sums += np.bincount(positions[start:end], weights=tfs[start:end], minlength=n_docs)
-    del data, payload, reader, blocks  # every view of the file bytes, so they are freed
+    del data, payload, reader  # every view of the file bytes, so they are freed
     doc_lengths = np.array(lengths, np.int64)
     if not np.array_equal(sums, doc_lengths):
         raise _corrupt("term frequencies do not sum to document lengths")

@@ -500,7 +500,7 @@ class TestPeakMemory:
         loaded, peak = traced_peak(lambda: load_index(path))
         assert loaded == index
         # the file bytes, the narrow arrays and one block of whole terms at a time
-        assert peak <= 2.1 * path.stat().st_size  # measured 1.98x
+        assert peak <= 2.1 * path.stat().st_size  # measured 1.85x
 
 
 class _FullDisk:
