@@ -12,7 +12,10 @@ a time.  For each workload in turn, odd pairs run the parent first and
 even pairs the change first.
 
 The output file holds `pr` (from the `BENCH_<pr>.json` name), `what`,
-`command`, `host`, `note` (which names each workload's pair count), and
+`command`, `host`, `cpu` (the CPU model named in `/proc/cpuinfo`,
+`os.cpu_count()` and the SIMD dispatch targets numpy enables, read where
+this script runs, so that batches can be told apart by CPU class), `note`
+(which names each workload's pair count), and
 for each side its `git_rev`, `src_loc`, `reports` (pair 1's `.bench_out/`
 report of each workload, without `samples`) and `runs` (every run's gate
 line: `correct`, `attempted`, `failed` and each metric's value, keyed
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import statistics
 import subprocess
@@ -48,6 +52,23 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WORKLOADS = ("desk-short", "legal-long", "ingest")
+
+
+def cpu_facts() -> dict:
+    """The CPU model, the CPU count and numpy's enabled dispatch targets."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        cpuinfo = ""
+    model = re.search(r"^model name\s*:\s*(.*)$", cpuinfo, re.MULTILINE)
+    # numpy lists the targets it was built with, and which of them the CPU
+    # (less any NPY_DISABLE_CPU_FEATURES) runs
+    numpy = subprocess.run(
+        [sys.executable, "-c", "from numpy._core._multiarray_umath import "
+         "__cpu_dispatch__ as d, __cpu_features__ as f; print(*(t for t in d if f.get(t)))"],
+        capture_output=True, text=True)
+    return {"model": model.group(1).strip() if model else None, "count": os.cpu_count(),
+            "numpy_dispatch": numpy.stdout.split() if numpy.returncode == 0 else None}
 
 
 def workload_arg(value: str) -> tuple[str, int | None]:
@@ -217,6 +238,7 @@ def main(argv: list[str] | None = None,
         "command": command,
         "host": (f"{host.get('nproc', '?')} CPUs {host.get('machine', '?')}, Python "
                  f"{host.get('python', '?')}, numpy {host.get('numpy', '?')}"),
+        "cpu": cpu_facts(),
         "note": (f"W is each of {workloads}, in that order. runs holds the gate line of every "
                  "run, keyed <workload> trace<T> seed<S>, in pair order, with only each "
                  "metric's value; first names the side that ran first in that pair (the parent "

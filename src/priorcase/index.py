@@ -19,8 +19,8 @@ n_docs - 1 and the longest document's length (`_postings_dtypes`), so
 desk scale's 3,000 documents of about 2,000 tokens take 4 bytes per
 posting.  Every array is contiguous, read-only and owns its data.  Peak
 working memory, traced with P = 8 bytes per posting of the file: build
-2.2 P, persist P plus about 2 MB, load 1.9 x the file size, `Searcher`
-0.3 P; see docs/file_formats.md for what each stage holds.
+1.2 P, persist about 1.3 MB at any size, load 0.9 x the file size,
+`Searcher` 0.3 P; see docs/file_formats.md for what each stage holds.
 
 Persisted layout (little-endian, version 1):
 
@@ -203,8 +203,8 @@ def build_index(
         doc_ids.append(doc_id)
         lengths.append(len(tokens))
         ids, tfs = np.unique(np.fromiter(map(id_of, tokens), np.int32, len(tokens)), return_counts=True)
-        term_chunks.append(ids)
-        tf_chunks.append(tfs.astype(np.int32))
+        term_chunks.append(ids.astype(np.min_scalar_type(max(len(vocab) - 1, 0))))
+        tf_chunks.append(tfs.astype(np.min_scalar_type(len(tokens))))
 
     if not doc_ids:
         raise ValueError("nothing to index: empty corpus")
@@ -212,34 +212,25 @@ def build_index(
         raise ValueError("nothing to index: every document is empty")
 
     terms = sorted(vocab)
-    n_terms, n_docs = len(terms), len(doc_ids)
-    position_type, tf_type = _postings_dtypes(n_docs, max(lengths))
-    # key = term rank * n_docs + doc position: unique, so any sort gives one order
-    key_type = np.int32 if n_terms * n_docs <= _INT32_MAX else np.int64
-    key_of_vocab_id = np.empty(n_terms, key_type)
-    key_of_vocab_id[[vocab[t] for t in terms]] = np.arange(n_terms) * n_docs
-    key = key_of_vocab_id[np.concatenate(term_chunks)]
-    del term_chunks
-    key += np.repeat(np.arange(n_docs, dtype=key_type), [len(chunk) for chunk in tf_chunks])
-    tfs = np.concatenate(tf_chunks)
-    del tf_chunks
-    if key_type is np.int32:  # sort (key << 32 | tf) in place, then unpack both halves
-        packed = np.left_shift(key, 32, dtype=np.int64)
-        packed |= tfs
-        del key, tfs
-        packed.sort()
-        tfs = np.bitwise_and(packed, 0xFFFFFFFF, out=np.empty(packed.size, tf_type),
-                             casting="unsafe")
-        key = np.right_shift(packed, 32, out=np.empty(packed.size, np.int32), casting="unsafe")
-        del packed
-    else:
-        order = np.argsort(key)
-        key, tfs = key[order], tfs[order].astype(tf_type, copy=False)
-        del order
-    offsets = np.searchsorted(key, np.arange(n_terms + 1, dtype=key_type) * n_docs)
-    positions = np.remainder(key, n_docs, out=np.empty(key.size, position_type),
-                             casting="unsafe")
-    del key
+    vocab_ids = np.fromiter(map(id_of, terms), np.int64, len(terms))  # by term rank
+    # invert by counting: each term's postings start at its offset, and each
+    # document, taken in position order, writes its pairs at its terms' cursors
+    cursor = np.zeros(len(terms), np.int64)  # by vocabulary id: the df, then the next free slot
+    for ids in term_chunks:
+        cursor[ids] += 1
+    offsets = np.zeros(len(terms) + 1, np.int64)
+    np.cumsum(cursor[vocab_ids], out=offsets[1:])
+    cursor[vocab_ids] = offsets[:-1]
+    position_type, tf_type = _postings_dtypes(len(doc_ids), max(lengths))
+    positions = np.empty(offsets[-1], position_type)
+    tfs = np.empty(offsets[-1], tf_type)
+    for p, (ids, counts) in enumerate(zip(term_chunks, tf_chunks)):
+        at = cursor[ids]
+        positions[at] = p
+        tfs[at] = counts
+        at += 1
+        cursor[ids] = at
+    del term_chunks, tf_chunks
     return CorpusIndex(
         terms=terms,
         offsets=offsets,
@@ -306,14 +297,24 @@ def _corrupt(what: str) -> IndexFormatError:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.pos = 0
+    """Reads fields from an open file, never past `end`: a field that would
+    cross it, or a short read, is `truncated`, before anything is allocated."""
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def __init__(self, fh: BinaryIO, end: int):
+        self.fh = fh
+        self.end = end
+        self.pos = fh.tell()
+
+    def seek(self, pos: int) -> None:
+        if pos > self.end:
             raise _corrupt("truncated")
-        chunk = self.data[self.pos : self.pos + n]
+        self.fh.seek(pos)
+        self.pos = pos
+
+    def take(self, n: int) -> bytes:
+        chunk = self.fh.read(n) if self.pos + n <= self.end else b""
+        if len(chunk) != n:
+            raise _corrupt("truncated")
         self.pos += n
         return chunk
 
@@ -340,8 +341,9 @@ def _flush(buf: io.BytesIO, out: BinaryIO, crc: int) -> int:
 def persist_index(index: CorpusIndex, path: str | Path) -> None:
     """Write the index to `path` in the versioned binary layout.
 
-    The bytes go out in chunks of about 1 MB under a running CRC, so the
-    interleaved (position, tf) pairs are the only posting-sized buffer.
+    The (position, tf) pairs are interleaved one block of whole terms of
+    about `_SLICE` postings at a time, and the bytes go out in chunks of
+    about 1 MB under a running CRC, so no buffer grows with the index.
     """
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -353,20 +355,24 @@ def persist_index(index: CorpusIndex, path: str | Path) -> None:
         _write_bytes(buf, doc_id.encode("utf-8"))
         _write_u32(buf, length)
 
-    pairs = np.empty((len(index.positions), 2), "<u4")
-    pairs[:, 0] = index.positions
-    pairs[:, 1] = index.tfs
-    blob = memoryview(pairs).cast("B")
+    terms = index.terms
     offsets = index.offsets.tolist()
+    edges = _term_blocks(index.offsets, _SLICE)
     crc = 0
-    _write_u32(buf, len(index.terms))
+    _write_u32(buf, len(terms))
     with atomic_open(path) as out:
-        for i, term in enumerate(index.terms):
-            _write_bytes(buf, term.encode("utf-8"))
-            _write_u32(buf, offsets[i + 1] - offsets[i])
-            buf.write(blob[8 * offsets[i] : 8 * offsets[i + 1]])
-            if buf.tell() >= 1 << 20:
-                crc = _flush(buf, out, crc)
+        for lo, hi in zip(edges, edges[1:]):
+            base, end = offsets[lo], offsets[hi]
+            pairs = np.empty((end - base, 2), "<u4")
+            pairs[:, 0] = index.positions[base:end]
+            pairs[:, 1] = index.tfs[base:end]
+            blob = memoryview(pairs).cast("B")
+            for term, start, stop in zip(terms[lo:hi], offsets[lo:hi], offsets[lo + 1 : hi + 1]):
+                _write_bytes(buf, term.encode("utf-8"))
+                _write_u32(buf, stop - start)
+                buf.write(blob[8 * (start - base) : 8 * (stop - base)])
+                if buf.tell() >= 1 << 20:
+                    crc = _flush(buf, out, crc)
         out.write(struct.pack("<I", _flush(buf, out, crc)))
 
 
@@ -382,80 +388,92 @@ def load_index(path: str | Path) -> CorpusIndex:
     unsupported.  A file that loads satisfies every CSR invariant listed
     in the module docstring, and its term frequencies sum to each
     document's length.
+
+    The file bytes are never held whole: the checksum is taken over 1 MB
+    reads, the tables are read field by field, seeking past each term's
+    posting block, and the postings are then read back one block of whole
+    terms of about `_SLICE` postings at a time.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or not data.startswith(MAGIC):
-        raise IndexFormatError("not an index file: bad magic")
-    if len(data) < 12:
-        raise _corrupt("truncated")
-    payload = memoryview(data)[:-4]
-    if struct.unpack("<I", data[-4:])[0] != zlib.crc32(payload):
-        raise _corrupt("checksum mismatch")
+        size = os.fstat(fh.fileno()).st_size
+        if size < 4 or fh.read(4) != MAGIC:
+            raise IndexFormatError("not an index file: bad magic")
+        if size < 12:
+            raise _corrupt("truncated")
+        fh.seek(0)
+        reader = _Reader(fh, size)
+        crc = 0
+        while reader.pos < size - 4:
+            crc = zlib.crc32(reader.take(min(1 << 20, size - 4 - reader.pos)), crc)
+        if reader.u32() != crc:
+            raise _corrupt("checksum mismatch")
 
-    reader = _Reader(payload)
-    reader.take(4)  # magic
-    version = reader.u32()
-    if version != FORMAT_VERSION:
-        raise IndexVersionError(
-            f"unsupported index version {version} (this build reads version {FORMAT_VERSION})"
-        )
-    fingerprint = reader.string()
+        reader = _Reader(fh, size - 4)
+        reader.seek(4)  # past the magic
+        version = reader.u32()
+        if version != FORMAT_VERSION:
+            raise IndexVersionError(
+                f"unsupported index version {version} (this build reads version {FORMAT_VERSION})"
+            )
+        fingerprint = reader.string()
 
-    n_docs = reader.u32()
-    doc_ids: list[str] = []
-    lengths: list[int] = []
-    for _ in range(n_docs):
-        doc_ids.append(reader.string())
-        lengths.append(reader.u32())
+        n_docs = reader.u32()
+        doc_ids: list[str] = []
+        lengths: list[int] = []
+        for _ in range(n_docs):
+            doc_ids.append(reader.string())
+            lengths.append(reader.u32())
 
-    n_terms = reader.u32()
-    terms: list[str] = []
-    counts: list[int] = []
-    starts: list[int] = []  # each term's posting block; a memoryview would take 184 bytes a term
-    for _ in range(n_terms):
-        terms.append(reader.string())
-        counts.append(reader.u32())
-        starts.append(reader.pos)
-        reader.take(8 * counts[-1])
-    if reader.pos != len(payload):
-        raise _corrupt("trailing bytes")
+        n_terms = reader.u32()
+        terms: list[str] = []
+        counts: list[int] = []
+        starts: list[int] = []  # each term's posting block, as a file offset
+        for _ in range(n_terms):
+            terms.append(reader.string())
+            counts.append(reader.u32())
+            starts.append(reader.pos)
+            reader.seek(reader.pos + 8 * counts[-1])
+        if reader.pos != reader.end:
+            raise _corrupt("trailing bytes")
 
-    if n_docs == 0:
-        raise _corrupt("no documents")
-    if not _strictly_ascending(doc_ids):
-        raise _corrupt("document ids not strictly ascending")
-    if not _strictly_ascending(terms):
-        raise _corrupt("terms not strictly ascending")
-    if 0 in counts:
-        raise _corrupt("term with no postings")
-    offsets = np.zeros(n_terms + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    longest = max(lengths)
-    positions, tfs = (np.empty(offsets[-1], dtype) for dtype in _postings_dtypes(n_docs, longest))
-    # each block of whole terms is checked, then narrowed into place; bincount
-    # casts to int64 and float64, so the length sums go block by block and are exact
-    sums = np.zeros(n_docs)
-    edges = _term_blocks(offsets, _SLICE)
-    for lo, hi in zip(edges, edges[1:]):
-        start, end = offsets[lo], offsets[hi]
-        block = b"".join([payload[at : at + 8 * n] for at, n in zip(starts[lo:hi], counts[lo:hi])])
-        pairs = np.frombuffer(block, "<u4").reshape(-1, 2)
-        pos, tf = pairs[:, 0], pairs[:, 1]
-        if pos.max() >= n_docs:
-            raise _corrupt("posting points past document table")
-        ascending = pos[1:] > pos[:-1]
-        ascending[offsets[lo + 1 : hi] - start - 1] = True  # a new term may start anywhere
-        if not ascending.all():
-            raise _corrupt("positions not strictly ascending within a term")
-        top = tf.max()
-        if tf.min() == 0 or top > _INT32_MAX:
-            raise _corrupt("term frequency outside [1, 2**31)")
-        if top > longest:  # it would wrap in the narrow type
-            raise _corrupt("term frequencies do not sum to document lengths")
-        positions[start:end], tfs[start:end] = pos, tf
-        sums += np.bincount(positions[start:end], weights=tfs[start:end], minlength=n_docs)
-    del data, payload, reader  # every view of the file bytes, so they are freed
+        if n_docs == 0:
+            raise _corrupt("no documents")
+        if not _strictly_ascending(doc_ids):
+            raise _corrupt("document ids not strictly ascending")
+        if not _strictly_ascending(terms):
+            raise _corrupt("terms not strictly ascending")
+        if 0 in counts:
+            raise _corrupt("term with no postings")
+        offsets = np.zeros(n_terms + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        longest = max(lengths)
+        positions, tfs = (np.empty(offsets[-1], dtype) for dtype in _postings_dtypes(n_docs, longest))
+        # each block of whole terms is read in one piece, checked, then narrowed into place;
+        # bincount casts to int64 and float64, so the length sums go block by block and are exact
+        sums = np.zeros(n_docs)
+        edges = _term_blocks(offsets, _SLICE)
+        for lo, hi in zip(edges, edges[1:]):
+            start, end = offsets[lo], offsets[hi]
+            first = starts[lo]
+            reader.seek(first)
+            raw = memoryview(reader.take(starts[hi - 1] + 8 * counts[hi - 1] - first))
+            block = b"".join([raw[at - first : at - first + 8 * n]
+                              for at, n in zip(starts[lo:hi], counts[lo:hi])])
+            pairs = np.frombuffer(block, "<u4").reshape(-1, 2)
+            pos, tf = pairs[:, 0], pairs[:, 1]
+            if pos.max() >= n_docs:
+                raise _corrupt("posting points past document table")
+            ascending = pos[1:] > pos[:-1]
+            ascending[offsets[lo + 1 : hi] - start - 1] = True  # a new term may start anywhere
+            if not ascending.all():
+                raise _corrupt("positions not strictly ascending within a term")
+            top = tf.max()
+            if tf.min() == 0 or top > _INT32_MAX:
+                raise _corrupt("term frequency outside [1, 2**31)")
+            if top > longest:  # it would wrap in the narrow type
+                raise _corrupt("term frequencies do not sum to document lengths")
+            positions[start:end], tfs[start:end] = pos, tf
+            sums += np.bincount(positions[start:end], weights=tfs[start:end], minlength=n_docs)
     doc_lengths = np.array(lengths, np.int64)
     if not np.array_equal(sums, doc_lengths):
         raise _corrupt("term frequencies do not sum to document lengths")

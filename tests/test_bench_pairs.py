@@ -90,12 +90,18 @@ def test_bad_workload_arguments_are_rejected(tmp_path, workloads):
 def test_output_file_form(tmp_path, capsys):
     code, document = run_script(tmp_path, FakeBench(), pairs=2, workloads=("ingest",))
     assert code == 0
-    assert list(document) == ["pr", "what", "command", "host", "note", "parent", "change"]
+    assert list(document) == ["pr", "what", "command", "host", "cpu", "note", "parent", "change"]
     assert document["pr"] == 99
     assert document["what"] == "a test"
     assert document["command"] == ("python3 perfbench/run.py --workload W --seed 0 "
                                    "--seconds 12 --trace 0 --scale smoke")
     assert document["host"] == "2 CPUs x86_64, Python 3.11, numpy 2"
+    # read from the host that runs the script, not from the runs
+    cpu = document["cpu"]
+    assert list(cpu) == ["model", "count", "numpy_dispatch"]
+    assert cpu["model"] is None or isinstance(cpu["model"], str)
+    assert cpu["count"] is None or cpu["count"] >= 1
+    assert all(isinstance(target, str) for target in cpu["numpy_dispatch"])
     assert document["parent"]["git_rev"] == "old-sha"
     assert document["change"]["src_loc"] == 20
     key = "ingest trace0 seed0"
