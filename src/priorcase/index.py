@@ -203,6 +203,8 @@ def build_index(
         doc_ids.append(doc_id)
         lengths.append(len(tokens))
         ids, tfs = np.unique(np.fromiter(map(id_of, tokens), np.int32, len(tokens)), return_counts=True)
+        # narrowed to the vocabulary so far and the document's length: these chunks
+        # are the one posting-sized buffer the build holds beyond its output
         term_chunks.append(ids.astype(np.min_scalar_type(max(len(vocab) - 1, 0))))
         tf_chunks.append(tfs.astype(np.min_scalar_type(len(tokens))))
 
@@ -213,8 +215,9 @@ def build_index(
 
     terms = sorted(vocab)
     vocab_ids = np.fromiter(map(id_of, terms), np.int64, len(terms))  # by term rank
-    # invert by counting: each term's postings start at its offset, and each
-    # document, taken in position order, writes its pairs at its terms' cursors
+    # invert by counting, not sorting: each term's postings start at its offset, and
+    # each document, in position order, writes its pairs at its terms' cursors, so
+    # every term's positions come out ascending
     cursor = np.zeros(len(terms), np.int64)  # by vocabulary id: the df, then the next free slot
     for ids in term_chunks:
         cursor[ids] += 1
