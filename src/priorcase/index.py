@@ -231,8 +231,7 @@ def build_index(
         at = cursor[ids]
         positions[at] = p
         tfs[at] = counts
-        at += 1
-        cursor[ids] = at
+        cursor[ids] = at + 1
     del term_chunks, tf_chunks
     return CorpusIndex(
         terms=terms,
