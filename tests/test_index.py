@@ -540,11 +540,11 @@ class TestPeakMemory:
     def test_build_index(self, docs, index):
         built, peak = traced_peak(lambda: build_index(docs, "fp"))
         assert built == index
-        assert peak <= 1.4 * 8 * len(index.positions)  # measured 1.15x
+        assert peak <= 1.4 * 8 * len(index.positions)  # measured 1.14x
 
     def test_persist_index(self, index, tmp_path):
         _none, peak = traced_peak(lambda: persist_index(index, tmp_path / "index.idx"))
-        # one block's pairs plus file bytes moved out about 1 MB at a time; measured 1.31 MB
+        # one block's pairs plus file bytes moved out about 1 MB at a time; measured 1.30 MB
         assert peak <= 2_000_000
 
     def test_load_index(self, index, tmp_path):
