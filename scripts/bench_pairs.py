@@ -19,7 +19,14 @@ this script runs, so that batches can be told apart by CPU class), `note`
 for each side its `git_rev`, `src_loc`, `reports` (pair 1's `.bench_out/`
 report of each workload, without `samples`) and `runs` (every run's gate
 line: `correct`, `attempted`, `failed` and each metric's value, keyed
-`<workload> trace<T> seed<S>`).
+`<workload> trace<T> seed<S>`, with the `calibration` taken just before
+that run).
+
+The calibration times a fixed kernel in a fresh interpreter: `sort_s`, a
+seeded `np.sort` of 2^22 floats, and `loop_s`, a fixed pure-Python loop
+(None when the kernel does not run).  Like `cpu`, it decides nothing; it
+lets two batches, or two runs of one batch, be compared for CPU speed
+before their figures are.
 
 It prints, per workload and metric, both sides' medians, both sides'
 interquartile ranges (`statistics.quantiles`' default, exclusive method),
@@ -69,6 +76,32 @@ def cpu_facts() -> dict:
         capture_output=True, text=True)
     return {"model": model.group(1).strip() if model else None, "count": os.cpu_count(),
             "numpy_dispatch": numpy.stdout.split() if numpy.returncode == 0 else None}
+
+
+CALIBRATION_KERNEL = """\
+import time
+import numpy as np
+values = np.random.default_rng(0).random(1 << 22)
+start = time.perf_counter()
+np.sort(values)
+sort_s = time.perf_counter() - start
+start = time.perf_counter()
+total = 0
+for i in range(1 << 20):
+    total += i * i % 7
+print(sort_s, time.perf_counter() - start)
+"""
+
+
+def calibration() -> dict | None:
+    """The calibration kernel's `sort_s` and `loop_s`, timed in its own process."""
+    done = subprocess.run([sys.executable, "-c", CALIBRATION_KERNEL],
+                          capture_output=True, text=True)
+    try:
+        sort_s, loop_s = map(float, done.stdout.split())
+    except ValueError:
+        return None
+    return {"sort_s": sort_s, "loop_s": loop_s}
 
 
 def workload_arg(value: str) -> tuple[str, int | None]:
@@ -192,7 +225,8 @@ def summary(runs: dict[str, list[dict]], key: str) -> list[str]:
 
 def main(argv: list[str] | None = None,
          checkout: Callable[[str, Path], None] = clone,
-         run: Callable[[Path, list[str]], str] = run_benchmark) -> int:
+         run: Callable[[Path, list[str]], str] = run_benchmark,
+         calibrate: Callable[[], dict | None] = calibration) -> int:
     args = parse_args(argv)
     scale = ["--scale", "smoke"] if args.scale == "smoke" else []
     record = {side: {"git_rev": None, "src_loc": None, "reports": {}, "runs": {}} for side in SIDES}
@@ -210,6 +244,7 @@ def main(argv: list[str] | None = None,
             for pair in range(1, n_pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 for side in order:
+                    calibrated = calibrate()
                     facts, gate = parse_output(run(dirs[side], bench_argv))
                     correct = gate.get("correct") is True
                     all_correct &= correct
@@ -223,6 +258,7 @@ def main(argv: list[str] | None = None,
                         "attempted": gate.get("attempted"), "failed": gate.get("failed"),
                         "metrics": {name: metric["value"]
                                     for name, metric in gate.get("metrics", {}).items()},
+                        "calibration": calibrated,
                     })
                     if pair == 1:
                         side_record["reports"][key] = read_report(dirs[side], report_name)
@@ -241,8 +277,8 @@ def main(argv: list[str] | None = None,
         "cpu": cpu_facts(),
         "note": (f"W is each of {workloads}, in that order. runs holds the gate line of every "
                  "run, keyed <workload> trace<T> seed<S>, in pair order, with only each "
-                 "metric's value; first names the side that ran first in that pair (the parent "
-                 "in odd pairs). Both sides ran from clean clones of their commits, one run at a "
+                 "metric's value, and the calibration kernel's times just before it; first names "
+                 "the side that ran first in that pair (the parent in odd pairs). Both sides ran from clean clones of their commits, one run at a "
                  "time. reports holds pair 1's .bench_out/ report without samples."),
         **record,
     }

@@ -20,6 +20,7 @@ from typing import Callable
 from .embeddings import load_embeddings
 from .evaluation import (
     DEFAULT_KS,
+    check_run_tag,
     evaluate_run,
     format_report,
     load_qrels,
@@ -35,9 +36,9 @@ from .index import (
     read_queries_file,
     read_text,
 )
-from .rankers import BM25Params, SCORER_NAMES, Searcher, check_scorers
+from .rankers import BM25Params, SCORER_NAMES, Searcher, check_ranking_options, check_scorers
 from .stopwords import ENGLISH_STOPWORDS, load_stopword_file
-from .textproc import PRESETS, PipelineConfig, pipeline_fingerprint, tokenize_corpus, tokenize_normalize
+from .textproc import PRESETS, PipelineConfig, pipeline_fingerprint, tokenize_corpus
 
 DEFAULT_TOP_N = 100
 DEFAULT_COMPARE_SCORERS = "fused,tfidf_cos,bm25,commonwords_bm25"
@@ -166,8 +167,9 @@ def cmd_index(settings: dict) -> int:
     return 0
 
 
-def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict]:
-    """Rank every query under each scorer: the half `search` and `compare` share."""
+def _rank_all(settings: dict, scorers: list[str]) -> tuple[dict, int]:
+    """Rank every query under each scorer, each tokenized once, and count the
+    queries with no token in the index: the half `search` and `compare` share."""
     index_path = _existing_path(_require(settings, "index", "--index"), "index file")
     queries_path = _existing_path(_require(settings, "queries", "--queries"), "queries file")
     check_scorers(scorers)
@@ -176,27 +178,25 @@ def _rank_all(settings: dict, scorers: list[str]) -> tuple[Searcher, list, dict]
             raise ValueError(f"scorer {scorer} is given more than once")
     top_n = _as_number(settings, "top_n", int, DEFAULT_TOP_N)
     workers = _as_number(settings, "workers", int, 1)
+    check_ranking_options(top_n, workers)
 
     queries = read_queries_file(queries_path)
     searcher = _build_searcher(settings, scorers, index_path)
-    runs = {s: searcher.search_all(queries, s, top_n=top_n, workers=workers) for s in scorers}
-    return searcher, queries, runs
+    tokens = tokenize_corpus([text for _qid, text in queries], searcher.config, searcher.stopwords)
+    unmatched = sum(searcher.index.term_ids.keys().isdisjoint(stream) for stream in tokens)
+    return {s: searcher._rank(queries, tokens, s, top_n, workers) for s in scorers}, unmatched
 
 
 def cmd_search(settings: dict) -> int:
     scorer = _require(settings, "scorer", "--scorer")
     out = _require(settings, "out", "--out")
-    searcher, queries, runs = _rank_all(settings, [scorer])
+    if "tag" in settings:  # the default, the scorer's name, is checked as a scorer
+        check_run_tag(settings["tag"])
+    runs, unmatched = _rank_all(settings, [scorer])
     write_run(runs[scorer], out, settings.get("tag", scorer))
     print(f"ranked {len(runs[scorer])} queries with {scorer} -> {out}")
-    # queries that normalize to no tokens, or to none in the index
-    unmatched = sum(
-        not any(t in searcher.index.term_ids
-                for t in tokenize_normalize(text, searcher.config, searcher.stopwords))
-        for _qid, text in queries
-    )
     if unmatched:
-        print(f"warning: {unmatched} of {len(queries)} queries have no in-vocabulary "
+        print(f"warning: {unmatched} of {len(runs[scorer])} queries have no in-vocabulary "
               "terms after normalization; lexical scorers rank every document at 0 "
               "for them", file=sys.stderr)
     return 0
@@ -232,7 +232,7 @@ def cmd_compare(settings: dict) -> int:
     if not scorers:
         raise ValueError("no scorers given: --scorers needs at least one name")
     qrels = load_qrels(_existing_path(_require(settings, "qrels", "--qrels"), "qrels file"))
-    _searcher, _queries, runs = _rank_all(settings, scorers)
+    runs, _unmatched = _rank_all(settings, scorers)
     reports = {scorer: evaluate_run(run, qrels, ks=(10,)) for scorer, run in runs.items()}
     order = sorted(reports, key=lambda name: (-reports[name].mean_precision.get(10, 0.0), name))
 

@@ -217,6 +217,12 @@ def load_run(path: str | Path) -> Run:
     return run
 
 
+def check_run_tag(tag: str) -> None:
+    """Raise the ValueError for a run tag that is not a single non-empty word."""
+    if not tag or any(ch.isspace() for ch in tag):
+        raise ValueError(f"run tag must be a single non-empty word, got {tag!r}")
+
+
 def write_run(run: Run, path: str | Path, tag: str) -> None:
     """Write a run file, queries in ascending id order, ranks from 1.
 
@@ -229,8 +235,7 @@ def write_run(run: Run, path: str | Path, tag: str) -> None:
     Each query is formatted with one `%` template, built from per-rank
     line tails made once per call.
     """
-    if not tag or any(ch.isspace() for ch in tag):
-        raise ValueError(f"run tag must be a single non-empty word, got {tag!r}")
+    check_run_tag(tag)
     for qid, ranking in run.items():
         if not set(map(len, ranking)) <= {2}:
             raise ValueError(f"cannot write query {qid!r}: every entry must be a "

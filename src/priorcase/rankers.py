@@ -46,7 +46,7 @@ from .embeddings import EmbeddingStore
 from .index import _SLICE, CorpusIndex, PipelineMismatchError, _term_blocks
 from .rake import keyword_words
 from .stopwords import ENGLISH_STOPWORDS
-from .textproc import PipelineConfig, TokenStream, pipeline_fingerprint, tokenize_normalize
+from .textproc import PipelineConfig, TokenStream, pipeline_fingerprint, tokenize_corpus, tokenize_normalize
 
 Ranking = list[tuple[str, float]]
 _Postings = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -299,19 +299,17 @@ class Searcher:
 
     def _squared_norms(self, idf: np.ndarray) -> np.ndarray:
         """Per-document sums of squared TF-IDF weights, term id `t` weighing
-        `idf[t]`, in term order.  Blocks of whole terms of about `_SLICE`
-        postings each extend the running sums in one bincount: the same
-        additions as one bincount over all.  IDF 0.0 adds +0.0, a no-op."""
+        `idf[t]`, in term order.  `np.add.at` adds each block of whole terms
+        (about `_SLICE` postings) in input order: the same additions as one
+        bincount over all.  IDF 0.0 adds +0.0, a no-op."""
         idx = self.index
         edges = _term_blocks(idx.offsets, _SLICE)
-        every_doc = np.arange(idx.n_docs)
         sums = np.zeros(idx.n_docs)
         for lo, hi in zip(edges, edges[1:]):
             at = slice(idx.offsets[lo], idx.offsets[hi])
             w = idx.tfs[at] * np.repeat(idf[lo:hi], self._df[lo:hi])
             w *= w
-            sums = np.bincount(np.concatenate((every_doc, idx.positions[at])),
-                               weights=np.concatenate((sums, w)), minlength=idx.n_docs)
+            np.add.at(sums, idx.positions[at], w)
         return sums
 
     def _stack_chunks(self) -> None:
@@ -482,34 +480,36 @@ class Searcher:
         top_n: int = 100,
         workers: int = 1,
     ) -> dict[str, Ranking]:
-        """Rank every (query_id, raw text) pair; returns top-`top_n` each.
+        """Rank the top `top_n` of every (query_id, raw text) pair, all tokenized in one call.
 
         Queries may be scored concurrently; results are keyed and ordered
         by query id, so the output is identical for any worker count.
         """
         if self.config is None:
             raise ValueError("search_all needs the pipeline configuration to tokenize queries")
-        if top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         queries = list(queries)
         seen: set[str] = set()
         for qid, _text in queries:
             if qid in seen:
                 raise ValueError(f"duplicate query id {qid!r}")
             seen.add(qid)
+        tokens = tokenize_corpus([text for _qid, text in queries], self.config, self.stopwords)
+        return self._rank(queries, tokens, scorer, top_n, workers)
 
-        def one(item: tuple[str, str]) -> tuple[str, Ranking]:
-            qid, text = item
-            tokens = tokenize_normalize(text, self.config, self.stopwords)
-            return qid, self._ranking(self._scores(scorer, tokens, qid, text), top_n)
+    def _rank(self, queries: list[tuple[str, str]], tokens: list[TokenStream], scorer: str,
+              top_n: int, workers: int) -> dict[str, Ranking]:
+        """The one ranking loop: each (query_id, raw text) pair, ids distinct, by its tokens."""
+        check_ranking_options(top_n, workers)
+
+        def one(query: tuple[str, str], stream: TokenStream) -> tuple[str, Ranking]:
+            qid, text = query
+            return qid, self._ranking(self._scores(scorer, stream, qid, text), top_n)
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, queries))
+                results = list(pool.map(one, queries, tokens))
         else:
-            results = [one(item) for item in queries]
+            results = list(map(one, queries, tokens))
         return dict(sorted(results))
 
 
@@ -556,3 +556,11 @@ def check_scorers(names: Iterable[str]) -> None:
     if unknown:
         raise ValueError(f"unknown scorer {', '.join(map(repr, unknown))}; "
                          f"expected one of {', '.join(SCORER_NAMES)}")
+
+
+def check_ranking_options(top_n: int, workers: int) -> None:
+    """Raise the ValueError for a `top_n` or a `workers` below 1."""
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")

@@ -28,6 +28,10 @@ class FakeBench:
         dest.mkdir(parents=True)
         (dest / "REV").write_text(rev)
 
+    def calibrate(self):
+        """Stands in for the calibration kernel, which would start a process."""
+        return {"sort_s": float(len(self.calls) + 1), "loop_s": 0.5}
+
     def run(self, checkout, argv):
         rev = (checkout / "REV").read_text()
         workload = argv[argv.index("--workload") + 1]
@@ -51,7 +55,8 @@ def run_script(tmp_path, fake, pairs=3, workloads=("desk-short", "ingest")):
             "--out", str(out), "--what", "a test"]
     for workload in workloads:
         argv += ["--workload", workload]
-    code = load_script().main(argv, checkout=fake.checkout, run=fake.run)
+    code = load_script().main(argv, checkout=fake.checkout, run=fake.run,
+                              calibrate=fake.calibrate)
     return code, json.loads(out.read_text())
 
 
@@ -109,11 +114,12 @@ def test_output_file_form(tmp_path, capsys):
         assert list(document[side]) == ["git_rev", "src_loc", "reports", "runs"]
         assert document[side]["reports"] == {key: {"workload": "ingest"}}
     # pair 1: parent (run 1), change (run 2); pair 2: change (run 3), parent (run 4)
+    # each run keeps the calibration taken just before it (run n reads n)
     assert document["change"]["runs"][key] == [
         {"pair": 1, "first": "parent", "correct": True, "attempted": 3, "failed": 0,
-         "metrics": {"setup_s": 2.5}},
+         "metrics": {"setup_s": 2.5}, "calibration": {"sort_s": 2.0, "loop_s": 0.5}},
         {"pair": 2, "first": "change", "correct": True, "attempted": 3, "failed": 0,
-         "metrics": {"setup_s": 3.5}},
+         "metrics": {"setup_s": 3.5}, "calibration": {"sort_s": 3.0, "loop_s": 0.5}},
     ]
     assert [run["metrics"]["setup_s"] for run in document["parent"]["runs"][key]] == [1.0, 4.0]
     header, last = capsys.readouterr().out.splitlines()[-2:]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from priorcase import rankers, textproc
 from priorcase.cli import load_config_file, main
 from priorcase.evaluation import load_run, write_run
 from priorcase.index import (
@@ -50,6 +51,15 @@ def paths(synthetic_dir, tmp_path):
 def build_synthetic_index(paths) -> None:
     code = main(["index", "--corpus", paths["corpus"], "--out", paths["index"]])
     assert code == 0
+
+
+def corrupt_synthetic_index(paths) -> None:
+    """Build the synthetic index, then flip a byte so its checksum fails."""
+    build_synthetic_index(paths)
+    index = Path(paths["index"])
+    data = bytearray(index.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    index.write_bytes(bytes(data))
 
 
 def library_run_bytes(paths, scorer, config=PRESET_STANDARD, params=BM25Params()) -> bytes:
@@ -361,6 +371,41 @@ class TestSearchCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {error}: {missing}\n"
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--top", "0", "top_n must be >= 1"),
+        ("--workers", "0", "workers must be >= 1"),
+        ("--tag", "a b", "run tag must be a single non-empty word, got 'a b'"),
+    ])
+    def test_cheap_ranking_settings_are_checked_before_the_index_loads(
+            self, paths, capsys, flag, value, error):
+        corrupt_synthetic_index(paths)
+        argv = ["search", "--index", paths["index"], "--queries", paths["queries"],
+                "--scorer", "bm25", "--out", paths["run"]]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: corrupt index file: checksum mismatch\n"
+        assert main(argv + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not Path(paths["run"]).exists()
+
+    def test_the_warning_counts_queries_with_no_index_term(self, paths, capsys):
+        corpus = paths["tmp"] / "courts"
+        corpus.mkdir()
+        for name, text in [("a", "court contract"), ("b", "court lease"), ("c", "court tax")]:
+            (corpus / f"{name}.txt").write_text(text, encoding="utf-8")
+        queries = paths["tmp"] / "q.tsv"
+        queries.write_text("qc\tcourt\nqe\tthe of 42\n", encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus), "--out", paths["index"]]) == 0
+        capsys.readouterr()
+        assert main(["search", "--index", paths["index"], "--queries", str(queries),
+                     "--scorer", "bm25", "--out", paths["run"]]) == 0
+        # "court" is in every document, so its ATIRE idf is ln 1 and qc scores 0
+        # everywhere; it has an index term all the same, and only qe is counted
+        assert capsys.readouterr().err.startswith(
+            "warning: 1 of 2 queries have no in-vocabulary terms")
+        run = load_run(paths["run"])
+        assert {score for _doc, score in run["qc"] + run["qe"]} == {0.0}
+
 
 class TestEvalCommand:
     def test_report_matches_fixture(self, paths, synthetic_dir, capsys):
@@ -567,6 +612,59 @@ class TestCompareCommand:
                      "--qrels", paths["qrels"], "--scorers", "nope,bm25,wizardry"]) == 1
         assert capsys.readouterr().err == ("error: unknown scorer 'nope', 'wizardry'; "
                                            f"expected one of {', '.join(SCORER_NAMES)}\n")
+
+    @pytest.mark.parametrize("flag, error", [("--top", "top_n must be >= 1"),
+                                             ("--workers", "workers must be >= 1")])
+    def test_top_and_workers_are_checked_before_the_index_loads(self, paths, capsys, flag, error):
+        corrupt_synthetic_index(paths)
+        capsys.readouterr()
+        assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
+                     "--qrels", paths["qrels"], flag, "0"]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+class TestOneTokenization:
+    """Each raw query text goes through the pipeline once per ranking command."""
+
+    @pytest.fixture
+    def pipeline_texts(self, paths, monkeypatch):
+        """The texts the pipeline splits once the synthetic index is built,
+        less those RAKE builds its keyword vocabularies from."""
+        build_synthetic_index(paths)
+        texts, in_rake = [], []
+        split_tokens, rake_vocabulary = textproc.split_tokens, rankers.build_rake_vocabulary
+
+        def spy_split(raw):
+            if not in_rake:
+                texts.append(raw)
+            return split_tokens(raw)
+
+        def spy_rake(*args):
+            in_rake.append(True)
+            try:
+                return rake_vocabulary(*args)
+            finally:
+                in_rake.pop()
+
+        monkeypatch.setattr(textproc, "split_tokens", spy_split)
+        monkeypatch.setattr(rankers, "build_rake_vocabulary", spy_rake)
+        return texts
+
+    def query_texts(self, paths):
+        return sorted(text for _qid, text in read_queries_file(paths["queries"]))
+
+    def test_search(self, paths, pipeline_texts, capsys):
+        assert main(["search", "--index", paths["index"], "--queries", paths["queries"],
+                     "--scorer", "bm25", "--out", paths["run"]]) == 0
+        assert sorted(pipeline_texts) == self.query_texts(paths)
+
+    def test_compare_over_every_scorer(self, paths, pipeline_texts, capsys):
+        assert main(["compare", "--index", paths["index"], "--queries", paths["queries"],
+                     "--qrels", paths["qrels"], "--scorers", ",".join(SCORER_NAMES),
+                     "--corpus", paths["corpus"], "--embeddings", paths["embeddings"]]) == 0
+        table = capsys.readouterr().out.split("\n\n")[0]
+        assert sorted(line.split()[0] for line in table.splitlines()[1:]) == sorted(SCORER_NAMES)
+        assert sorted(pipeline_texts) == self.query_texts(paths)
 
 
 class TestConfigFile:
