@@ -226,7 +226,8 @@ def summary(runs: dict[str, list[dict]], key: str) -> list[str]:
 def main(argv: list[str] | None = None,
          checkout: Callable[[str, Path], None] = clone,
          run: Callable[[Path, list[str]], str] = run_benchmark,
-         calibrate: Callable[[], dict | None] = calibration) -> int:
+         calibrate: Callable[[], dict | None] = calibration,
+         cpu_facts: Callable[[], dict] = cpu_facts) -> int:
     args = parse_args(argv)
     scale = ["--scale", "smoke"] if args.scale == "smoke" else []
     record = {side: {"git_rev": None, "src_loc": None, "reports": {}, "runs": {}} for side in SIDES}

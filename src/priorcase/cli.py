@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .embeddings import load_embeddings
 from .evaluation import (
     DEFAULT_KS,
@@ -161,6 +163,7 @@ def cmd_index(settings: dict) -> int:
     config, stopwords = _build_pipeline(settings)
     doc_ids, texts = zip(*read_corpus_dir(corpus_dir))
     tokenized = zip(doc_ids, tokenize_corpus(texts, config, stopwords))
+    del texts  # not needed once tokenized: free them before the build peaks
     index = build_index(tokenized, pipeline_fingerprint(config, stopwords))
     persist_index(index, out)
     print(f"indexed {index.n_docs} documents, {len(index.terms)} terms -> {out}")
@@ -181,10 +184,13 @@ def _rank_all(settings: dict, scorers: list[str]) -> tuple[dict, int]:
     check_ranking_options(top_n, workers)
 
     queries = read_queries_file(queries_path)
-    searcher = _build_searcher(settings, scorers, index_path)
-    tokens = tokenize_corpus([text for _qid, text in queries], searcher.config, searcher.stopwords)
-    unmatched = sum(searcher.index.term_ids.keys().isdisjoint(stream) for stream in tokens)
-    return {s: searcher._rank(queries, tokens, s, top_n, workers) for s in scorers}, unmatched
+    # a BM25 table or a score that overflows is one error line, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        searcher = _build_searcher(settings, scorers, index_path)
+        tokens = tokenize_corpus([text for _qid, text in queries], searcher.config,
+                                 searcher.stopwords)
+        unmatched = sum(searcher.index.term_ids.keys().isdisjoint(stream) for stream in tokens)
+        return {s: searcher._rank(queries, tokens, s, top_n, workers) for s in scorers}, unmatched
 
 
 def cmd_search(settings: dict) -> int:

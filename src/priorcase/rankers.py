@@ -38,6 +38,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -264,6 +265,15 @@ class Searcher:
         # the per-posting factors that do not depend on the query
         self._idf_k1 = {v: table * (params.k1 + 1.0) for v, table in self._idf_by_df.items()}
         self._k1_norm = params.k1 * self._norm
+        # a parameter so large that a table overflows is named here; an overflow
+        # in a posting's own arithmetic fails the ranking cut (`_ranking`)
+        okapi = Variant.OKAPI
+        for names, tables in (
+                ("epsilon", [self._idf_by_df[okapi][1:]]),
+                ("k1", [self._k1_norm] + [t[1:] for v, t in self._idf_k1.items() if v is not okapi]),
+                ("k1 or epsilon", [self._idf_k1[okapi][1:]])):
+            if not all(np.isfinite(table).all() for table in tables):
+                raise ValueError(f"the BM25 tables overflow for this index; lower {names}")
         idf = self._idf_by_df[Variant.ATIRE][self._df]
         self._sq_norms = self._squared_norms(idf)
         self._doc_norms = np.sqrt(self._sq_norms)
@@ -399,7 +409,8 @@ class Searcher:
 
     def _fused(self, query: TokenStream, _query_id, _query_text) -> np.ndarray:
         postings = self._postings(query)
-        return fuse_product(self._bm25(postings, Variant.ATIRE), self._tfidf(postings))
+        # `fuse_product`'s product; the ranking cut checks that it is finite
+        return self._bm25(postings, Variant.ATIRE) * self._tfidf(postings)
 
     def _rake_tfidf(self, query: TokenStream, query_id, query_text: str | None) -> np.ndarray:
         if query_text is None:
@@ -458,9 +469,16 @@ class Searcher:
         # np.bincount over no postings returns int64 zeros
         return fn(self, query, query_id, query_text).astype(np.float64, copy=False)
 
-    def _ranking(self, scores: np.ndarray, top_n: int) -> Ranking:
-        """The `top_n` best (doc id, score) pairs, in `_top_positions` order."""
+    def _ranking(self, scores: np.ndarray, top_n: int, scorer: str,
+                 query_id: str | None) -> Ranking:
+        """The `top_n` best (doc id, score) pairs, in `_top_positions` order;
+        a ValueError naming the scorer when a NaN or an infinity is among them."""
         order = _top_positions(scores, top_n)
+        if order is None:
+            query = "" if query_id is None else f" for query {query_id!r}"
+            hint = _OVERFLOWS.get(scorer)
+            raise ValueError(f"{scorer} scores{query} are not finite"
+                             + (f"; lower {hint}" if hint else ""))
         return list(zip(self._doc_ids[order].tolist(), scores[order].tolist()))
 
     def score(
@@ -471,7 +489,8 @@ class Searcher:
         query_text: str | None = None,
     ) -> Ranking:
         """Full ranking of the corpus for one query under `scorer`."""
-        return self._ranking(self._scores(scorer, query, query_id, query_text), self.index.n_docs)
+        return self._ranking(self._scores(scorer, query, query_id, query_text),
+                             self.index.n_docs, scorer, query_id)
 
     def search_all(
         self,
@@ -503,27 +522,34 @@ class Searcher:
 
         def one(query: tuple[str, str], stream: TokenStream) -> tuple[str, Ranking]:
             qid, text = query
-            return qid, self._ranking(self._scores(scorer, stream, qid, text), top_n)
+            return qid, self._ranking(self._scores(scorer, stream, qid, text), top_n, scorer, qid)
 
         if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            # the pool's threads take this thread's floating-point error state
+            with ThreadPoolExecutor(max_workers=workers,
+                                    initializer=partial(np.seterr, **np.geterr())) as pool:
                 results = list(pool.map(one, queries, tokens))
         else:
             results = list(map(one, queries, tokens))
         return dict(sorted(results))
 
 
-def _top_positions(scores: np.ndarray, top_n: int) -> np.ndarray:
-    """Positions of the `top_n` best scores, by (-score, position).
+def _top_positions(scores: np.ndarray, top_n: int) -> np.ndarray | None:
+    """Positions of the `top_n` best scores, by (-score, position), or None
+    when a NaN or an infinity is among the best `top_n`.
 
     Equals the first `top_n` entries of a full stable sort: every
     document tied with the `top_n`-th score is a candidate, so the
     lowest positions (ids) win the ties at the cut-off.  For `top_n` >=
     the size the cut is the lowest score and every position is a candidate.
+    The partition puts NaN above infinity, so any NaN in `scores` is in the
+    best `top_n` it checks: the check costs O(`top_n`).
     """
     k = min(top_n, scores.size)
-    cut = np.partition(scores, -k)[-k]
-    candidates = np.flatnonzero(scores >= cut)
+    best = np.partition(scores, -k)[-k:]
+    if not np.isfinite(best).all():
+        return None
+    candidates = np.flatnonzero(scores >= best[0])
     order = np.argsort(-scores[candidates], kind="stable")
     return candidates[order[:top_n]]
 
@@ -548,6 +574,9 @@ _SCORERS: dict[str, _Scorer] = {
     "embed": Searcher._embed,
 }
 SCORER_NAMES = tuple(_SCORERS)
+# the parameters whose size can overflow each BM25 scorer's arithmetic
+_OVERFLOWS = {"bm25": "k1", "bm25_okapi": "k1 or epsilon", "bm25l": "k1 or delta",
+              "bm25plus": "k1 or delta", "fused": "k1", "commonwords_bm25": "k1"}
 
 
 def check_scorers(names: Iterable[str]) -> None:

@@ -84,16 +84,19 @@ def tokenize_corpus(
     Each text's tokens are lowercased, de-noised and stopped in one pass
     after the split: lowercasing U+0130 before it would add a split point.
 
-    Porter stemming is a pure function of the word, so each distinct
-    token is stemmed once per call through a memo that lives only for
-    that call: its memory is bounded by the vocabulary of `texts`, and
-    nothing is cached between calls.
+    Two memos live for the call and no longer, each bounded by the
+    vocabulary of `texts`; nothing is cached between calls.  One makes
+    equal kept tokens one `str` object under every preset, so a repeated
+    token costs a list slot, not a string.  The other holds each
+    distinct word's Porter stem, a pure function of the word, so each
+    word is stemmed once per call.
     """
     stopset = frozenset()
     if config.remove_stopwords:
         stopset = frozenset(stopwords)
         if not stopset:
             raise ValueError("stopword removal enabled but the stopword list is empty")
+    shared: dict[str, str] = {}  # each kept token's one object
     stems: dict[str, str] = {}
     streams = []
     min_len = config.min_token_len
@@ -106,8 +109,12 @@ def tokenize_corpus(
         else:
             tokens = [t for t in tokens if t not in stopset]
         if config.stem:
-            stems.update((t, porter_stem(t)) for t in set(tokens).difference(stems))
+            for word in set(tokens).difference(stems):
+                stem = porter_stem(word)
+                stems[word] = shared.setdefault(stem, stem)
             tokens = [stems[t] for t in tokens]
+        else:
+            tokens = list(map(shared.setdefault, tokens, tokens))
         streams.append(tokens)
     return streams
 

@@ -32,6 +32,11 @@ class FakeBench:
         """Stands in for the calibration kernel, which would start a process."""
         return {"sort_s": float(len(self.calls) + 1), "loop_s": 0.5}
 
+    @staticmethod
+    def cpu_facts():
+        """Stands in for the CPU probe, whose numpy query would start a process."""
+        return {"model": "Test CPU", "count": 2, "numpy_dispatch": ["X86_V3"]}
+
     def run(self, checkout, argv):
         rev = (checkout / "REV").read_text()
         workload = argv[argv.index("--workload") + 1]
@@ -56,7 +61,7 @@ def run_script(tmp_path, fake, pairs=3, workloads=("desk-short", "ingest")):
     for workload in workloads:
         argv += ["--workload", workload]
     code = load_script().main(argv, checkout=fake.checkout, run=fake.run,
-                              calibrate=fake.calibrate)
+                              calibrate=fake.calibrate, cpu_facts=fake.cpu_facts)
     return code, json.loads(out.read_text())
 
 
@@ -101,12 +106,8 @@ def test_output_file_form(tmp_path, capsys):
     assert document["command"] == ("python3 perfbench/run.py --workload W --seed 0 "
                                    "--seconds 12 --trace 0 --scale smoke")
     assert document["host"] == "2 CPUs x86_64, Python 3.11, numpy 2"
-    # read from the host that runs the script, not from the runs
-    cpu = document["cpu"]
-    assert list(cpu) == ["model", "count", "numpy_dispatch"]
-    assert cpu["model"] is None or isinstance(cpu["model"], str)
-    assert cpu["count"] is None or cpu["count"] >= 1
-    assert all(isinstance(target, str) for target in cpu["numpy_dispatch"])
+    # read once from the host that runs the script, not from the runs
+    assert document["cpu"] == {"model": "Test CPU", "count": 2, "numpy_dispatch": ["X86_V3"]}
     assert document["parent"]["git_rev"] == "old-sha"
     assert document["change"]["src_loc"] == 20
     key = "ingest trace0 seed0"
@@ -126,6 +127,14 @@ def test_output_file_form(tmp_path, capsys):
     assert header.split() == "metric parent change parent IQR change IQR moved pairs".split()
     # parent runs 1.0 and 4.0, change runs 2.5 and 3.5: IQRs 4.5 and 1.5
     assert last.split() == "setup_s 2.5 3 4.5 1.5 within higher in 1, lower in 1 of 2".split()
+
+
+def test_cpu_facts_form():
+    cpu = load_script().cpu_facts()
+    assert list(cpu) == ["model", "count", "numpy_dispatch"]
+    assert cpu["model"] is None or isinstance(cpu["model"], str)
+    assert cpu["count"] is None or cpu["count"] >= 1
+    assert all(isinstance(target, str) for target in cpu["numpy_dispatch"])
 
 
 @pytest.mark.parametrize("shift, reading", [(5.0, "within"), (5.5, "beyond")])

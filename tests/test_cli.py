@@ -259,6 +259,56 @@ class TestSearchCommand:
         assert captured.out == ""
         assert not Path(paths["run"]).exists()
 
+    @pytest.mark.parametrize("command, flags, error", [
+        ("search", ["--scorer", "bm25", "--k1", "1e308"],
+         "bm25 scores for query 'q1' are not finite; lower k1"),
+        ("search", ["--scorer", "bm25l", "--delta", "1e308"],
+         "bm25l scores for query 'q1' are not finite; lower k1 or delta"),
+        ("search", ["--scorer", "fused", "--k1", "1e308"],
+         "fused scores for query 'q1' are not finite; lower k1"),
+        ("search", ["--scorer", "bm25plus", "--delta", "1e308"],
+         "bm25plus scores for query 'q1' are not finite; lower k1 or delta"),
+        ("search", ["--scorer", "bm25", "--k1", "1e308", "--workers", "2"],
+         "bm25 scores for query 'q1' are not finite; lower k1"),
+        ("compare", ["--scorers", "tfidf_cos,commonwords_bm25", "--k1", "1e308"],
+         "commonwords_bm25 scores for query 'q1' are not finite; lower k1"),
+        # twenty documents: ln(20) * (k1 + 1) overflows in the Searcher's own tables
+        ("search", ["--scorer", "tfidf_cos", "--k1", "1e308"],
+         "the BM25 tables overflow for this index; lower k1"),
+        ("search", ["--scorer", "bm25_okapi", "--epsilon", "1e308"],
+         "the BM25 tables overflow for this index; lower epsilon"),
+        ("search", ["--scorer", "bm25_okapi", "--epsilon", "1e308", "--k1", "0.1"],
+         "the BM25 tables overflow for this index; lower epsilon"),
+        ("search", ["--scorer", "bm25_okapi", "--epsilon", "5e307"],
+         "the BM25 tables overflow for this index; lower k1 or epsilon"),
+    ])
+    # numpy's overflow warning would be a second stderr line, worker threads included
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_bm25_parameter_is_a_one_line_error(self, tmp_path, capsys,
+                                                            command, flags, error):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        texts = {"a": "law court court", "b": "law appeal", "c": "tax"}
+        if "tables" in error:
+            # "law" is in over half the documents, so Okapi floors its IDF at
+            # epsilon times the mean IDF, about 2.4 here
+            texts = {f"d{i}": f"law w{i}" if i < 11 else f"w{i}" for i in range(20)}
+        for name, text in texts.items():
+            (corpus / f"{name}.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "queries.tsv").write_text("q1\tlaw court appeal\n", encoding="utf-8")
+        (tmp_path / "qrels.txt").write_text("q1 0 a 1\n", encoding="utf-8")
+        index, run = tmp_path / "i.idx", tmp_path / "out.run"
+        assert main(["index", "--corpus", str(corpus), "--out", str(index)]) == 0
+        capsys.readouterr()
+        extra = ["--out", str(run)] if command == "search" else ["--qrels", str(tmp_path / "qrels.txt")]
+        code = main([command, "--index", str(index), "--queries", str(tmp_path / "queries.tsv"),
+                     *extra, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+        assert not run.exists()
+
     def test_tag_defaults_to_scorer_name(self, paths):
         build_synthetic_index(paths)
         main(["search", "--index", paths["index"], "--queries", paths["queries"],

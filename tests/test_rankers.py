@@ -722,7 +722,7 @@ def test_postings_equal_the_csr_slices(word_lists, query):
     # the full ranking names position p by index.doc_ids[p]
     scores = searcher._scores("bm25", query, None, None)
     order = np.argsort(-scores, kind="stable")
-    ranking = searcher._ranking(scores, scores.size)
+    ranking = searcher._ranking(scores, scores.size, "bm25", None)
     assert ranking == [(index.doc_ids[p], scores[p].item()) for p in order.tolist()]
     assert searcher.score("bm25", query) == ranking
 
@@ -750,6 +750,58 @@ def test_top_positions_equal_stable_sort_prefix(values, from_size):
     top_n = from_size if from_size == 1 else scores.size + from_size
     want = np.argsort(-scores, kind="stable")[:top_n]
     assert rankers_module._top_positions(scores, top_n).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("values, top_n, want", [
+    # the zeros tied at the cut would refill a cut that only left the NaN out
+    ([math.nan, 1.0, 0.0, 0.0, 0.0], 3, None),
+    ([0.0, 2.0, math.nan], 1, None),
+    ([1.0, math.inf, 2.0], 1, None),
+    # below the cut an infinity is never ranked, so it fails only a full ranking
+    ([-math.inf, 1.0, 0.5], 2, [1, 2]),
+    ([-math.inf, 1.0, 0.5], 3, None),
+])
+def test_top_positions_refuse_a_best_score_that_is_not_finite(values, top_n, want):
+    order = rankers_module._top_positions(np.array(values), top_n)
+    assert (order if order is None else order.tolist()) == want
+
+
+_HUGE = st.sampled_from([1e150, 1e306, 1e307, 5e307, 1e308, 1.7976931348623157e308])
+_LEXICAL = [s for s in SCORER_NAMES if s not in ("rake_tfidf", "embed")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(CONTENT_WORDS[:8]), min_size=1, max_size=8),
+                min_size=1, max_size=24),
+       st.lists(st.sampled_from(CONTENT_WORDS[:8]), min_size=1, max_size=6),
+       st.builds(BM25Params, k1=_HUGE | st.floats(1e-3, 3.0), b=st.floats(0.0, 1.0),
+                 epsilon=_HUGE | st.floats(0.0, 1.0),
+                 delta=st.none() | _HUGE | st.floats(0.0, 2.0)))
+@example([["court", "court", "appeal"], ["court", "tax"], ["lease"]], ["court", "tax", "appeal"],
+         BM25Params(k1=1e308))
+@example([["court", "court", "appeal"], ["court", "tax"], ["lease"]], ["court", "tax", "appeal"],
+         BM25Params(delta=1e308))
+def test_every_scorer_is_finite_or_one_defined_error(word_lists, query, params):
+    index = build_index([(f"d{i}", words) for i, words in enumerate(word_lists)],
+                        pipeline_fingerprint(PRESET_NONE))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            searcher = Searcher(index, PRESET_NONE, params=params)
+        except ValueError as exc:
+            assert str(exc) in {f"the BM25 tables overflow for this index; lower {names}"
+                                for names in ("k1", "epsilon", "k1 or epsilon")}
+            return
+        for scorer in _LEXICAL:
+            try:
+                ranking = searcher.score(scorer, query)
+            except ValueError as exc:
+                hint = rankers_module._OVERFLOWS[scorer]
+                assert str(exc) == f"{scorer} scores are not finite; lower {hint}"
+                with pytest.raises(ValueError, match=f"^{scorer} scores for query 'q' are not"):
+                    searcher.search_all([("q", " ".join(query))], scorer, index.n_docs)
+            else:
+                assert len(ranking) == index.n_docs
+                assert all(math.isfinite(score) for _doc, score in ranking)
 
 
 class TestOkapiNegativeFloor:

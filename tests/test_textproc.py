@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import priorcase.textproc as textproc
 from priorcase.stopwords import ENGLISH_STOPWORDS, load_stopword_file
@@ -21,6 +21,7 @@ from priorcase.textproc import (
     tokenize_normalize,
 )
 
+from conftest import traced_peak
 from oracles import naive_fingerprint, naive_split_tokens, naive_tokenize
 
 # a small pool, so words repeat within and across texts; it holds digits,
@@ -136,6 +137,35 @@ class TestCorpusBatch:
         assert tokenize_corpus(texts, config, stopwords) == [
             tokenize_normalize(t, config, stopwords) for t in texts
         ]
+
+    @given(
+        texts=st.lists(
+            st.lists(st.tuples(st.sampled_from(WORD_POOL) | st.text(max_size=8),
+                               st.sampled_from(SEPARATORS)), max_size=30)
+            .map(lambda pairs: "".join(word + sep for word, sep in pairs)),
+            max_size=6,
+        ),
+        config=st.sampled_from([PRESET_NONE, PRESET_STANDARD, PRESET_FULL]),
+    )
+    # two words, one stem: "judg"
+    @example(texts=["judge judges", "Judges"], config=PRESET_FULL)
+    def test_equal_tokens_of_one_call_are_one_object(self, texts, config):
+        streams = tokenize_corpus(texts, config)
+        tokens = [t for stream in streams for t in stream]
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+        assert streams == [naive_tokenize(t, config, ENGLISH_STOPWORDS) for t in texts]
+
+    @pytest.mark.parametrize("config", [PRESET_NONE, PRESET_STANDARD, PRESET_FULL])
+    def test_repeated_tokens_cost_a_list_slot(self, config):
+        text = ("The tenant paid the rent in March; the landlord said the rent was late, "
+                "and the court heard the tenant's appeal of the lease. The judge found the "
+                "lease valid, the rent paid and the landlord's appeal without merit. ") * 2
+        texts = [text] * 1000
+        streams, peak = traced_peak(lambda: tokenize_corpus(texts, config))
+        n_tokens = sum(map(len, streams))
+        assert n_tokens >= 1000 * 40
+        # a list slot is 8 B; a string of its own would be about 56 B more
+        assert peak < 12 * n_tokens + 20_000
 
     def test_each_distinct_token_is_stemmed_once_per_call(self, monkeypatch):
         texts = ["judges ruling judges on contracts", "ruling contracts", "", "judges ponies"]
