@@ -11,6 +11,7 @@ chunks (indices contiguous from 0); a query uses chunk 0 only.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,14 @@ class EmbeddingStore:
         return self.chunks(key)[0]
 
 
+def vector_fault(vec: np.ndarray, norm: float) -> str | None:
+    """Why `embed` cannot divide by `norm`, the norm of `vec`; None when it is finite."""
+    if math.isfinite(norm):
+        return None
+    return ("contains a non-finite value" if not np.isfinite(vec).all()
+            else "norm overflows to inf; scale the vector down")
+
+
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Parse an embedding sidecar file into a store; a norm that overflows is an error."""
     rows: dict[str, dict[int, np.ndarray]] = {}
@@ -62,9 +71,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 raise ValueError(f"{path}:{lineno}: malformed chunk index or vector") from None
             if vec.size == 0:
                 raise ValueError(f"{path}:{lineno}: empty vector")
-            if not np.isfinite(np.linalg.norm(vec)):  # the norm `embed` divides by
-                cause = ("contains a non-finite value" if not np.isfinite(vec).all()
-                         else "norm overflows to inf; scale the vector down")
+            cause = vector_fault(vec, float(np.linalg.norm(vec)))
+            if cause:
                 raise ValueError(f"{path}:{lineno}: vector {cause}")
             if dim is None:
                 dim = vec.size

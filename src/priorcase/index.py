@@ -46,6 +46,7 @@ import io
 import os
 import secrets
 import struct
+import sys
 import zlib
 from collections import defaultdict
 from collections.abc import Mapping
@@ -394,7 +395,9 @@ def load_index(path: str | Path) -> CorpusIndex:
     The file bytes are never held whole: the checksum is taken over 1 MB
     reads, the tables are read field by field, seeking past each term's
     posting block, and the postings are then read back one block of whole
-    terms of about `_SLICE` postings at a time.
+    terms of about `_SLICE` postings at a time.  Terms are interned, as
+    `tokenize_corpus` interns tokens, so a query token and its term are
+    one object.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -431,7 +434,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         counts: list[int] = []
         starts: list[int] = []  # each term's posting block, as a file offset
         for _ in range(n_terms):
-            terms.append(reader.string())
+            terms.append(sys.intern(reader.string()))
             counts.append(reader.u32())
             starts.append(reader.pos)
             reader.seek(reader.pos + 8 * counts[-1])

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, vector_fault
 from .index import _SLICE, CorpusIndex, PipelineMismatchError, _term_blocks
 from .rake import keyword_words
 from .stopwords import ENGLISH_STOPWORDS
@@ -325,28 +325,37 @@ class Searcher:
     def _stack_chunks(self) -> None:
         """Stack every document's chunk vectors, in position order, for `embed`.
 
-        A document missing from the store or without chunks fails `embed`
-        only, when it scores, so the other scorers still work.
+        A document missing from the store, without chunks or with a chunk
+        whose norm is not finite fails `embed` only, when it scores, so the
+        other scorers still work.
         """
         self._chunk_error: str | None = None
         store = self.embeddings
         if store is None:
             return
         chunks: list[np.ndarray] = []
+        norms: list[float] = []
         counts: list[int] = []
-        for doc_id in self.index.doc_ids:
-            if doc_id not in store:
-                self._chunk_error = f"embedding store has no vectors for document {doc_id!r}"
-                return
-            doc_chunks = store.chunks(doc_id)
-            if not doc_chunks:
-                # np.bincount would give such a document a mean of 0/0
-                self._chunk_error = "document has no chunk vectors"
-                return
-            chunks.extend(doc_chunks)
-            counts.append(len(doc_chunks))
+        with np.errstate(over="ignore", invalid="ignore"):  # a bad norm is the error below
+            for doc_id in self.index.doc_ids:
+                if doc_id not in store:
+                    self._chunk_error = f"embedding store has no vectors for document {doc_id!r}"
+                    return
+                doc_chunks = store.chunks(doc_id)
+                if not doc_chunks:
+                    # np.bincount would give such a document a mean of 0/0
+                    self._chunk_error = "document has no chunk vectors"
+                    return
+                for i, v in enumerate(doc_chunks):
+                    norms.append(float(np.linalg.norm(v)))
+                    cause = vector_fault(v, norms[-1])
+                    if cause:
+                        self._chunk_error = f"embedding of document {doc_id!r} chunk {i}: vector {cause}"
+                        return
+                chunks.extend(doc_chunks)
+                counts.append(len(doc_chunks))
         self._chunks = np.array(chunks, dtype=np.float64)
-        self._chunk_norms = np.array([float(np.linalg.norm(v)) for v in chunks])
+        self._chunk_norms = np.array(norms)
         self._chunk_doc = np.repeat(np.arange(len(counts)), counts)
         self._chunk_counts = np.array(counts)
 
@@ -445,7 +454,11 @@ class Searcher:
         query_vec = self.embeddings.query_vector(query_id)
         if self._chunk_error is not None:
             raise ValueError(self._chunk_error)
-        query_norm = float(np.linalg.norm(query_vec))
+        with np.errstate(over="ignore", invalid="ignore"):
+            query_norm = float(np.linalg.norm(query_vec))
+        cause = vector_fault(query_vec, query_norm)
+        if cause:
+            raise ValueError(f"embedding of query {query_id!r}: vector {cause}")
         cos = np.zeros(len(self._chunk_norms))
         if query_norm != 0.0:
             # einsum sums each row by itself, so equal chunks get equal bits

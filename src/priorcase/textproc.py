@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -84,19 +85,21 @@ def tokenize_corpus(
     Each text's tokens are lowercased, de-noised and stopped in one pass
     after the split: lowercasing U+0130 before it would add a split point.
 
-    Two memos live for the call and no longer, each bounded by the
-    vocabulary of `texts`; nothing is cached between calls.  One makes
-    equal kept tokens one `str` object under every preset, so a repeated
-    token costs a list slot, not a string.  The other holds each
-    distinct word's Porter stem, a pure function of the word, so each
-    word is stemmed once per call.
+    Every kept token and every stem is interned (`sys.intern`), so equal
+    tokens are one `str` object under every preset, across calls and with
+    `load_index`'s terms: a repeated token costs a list slot, not a
+    string.  On CPython 3.11 the interned table holds no reference of its
+    own, so a token is freed with its last stream, index or vocabulary;
+    since PEP 683 (CPython 3.12) interned strings live as long as the
+    process, bounded by the vocabulary it has seen.  The stem memo lives
+    for the call and no longer: it holds each distinct word's Porter stem,
+    a pure function of the word, so each word is stemmed once per call.
     """
     stopset = frozenset()
     if config.remove_stopwords:
         stopset = frozenset(stopwords)
         if not stopset:
             raise ValueError("stopword removal enabled but the stopword list is empty")
-    shared: dict[str, str] = {}  # each kept token's one object
     stems: dict[str, str] = {}
     streams = []
     min_len = config.min_token_len
@@ -110,11 +113,10 @@ def tokenize_corpus(
             tokens = [t for t in tokens if t not in stopset]
         if config.stem:
             for word in set(tokens).difference(stems):
-                stem = porter_stem(word)
-                stems[word] = shared.setdefault(stem, stem)
+                stems[word] = sys.intern(porter_stem(word))
             tokens = [stems[t] for t in tokens]
         else:
-            tokens = list(map(shared.setdefault, tokens, tokens))
+            tokens = list(map(sys.intern, tokens))
         streams.append(tokens)
     return streams
 
