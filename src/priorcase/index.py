@@ -395,9 +395,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     The file bytes are never held whole: the checksum is taken over 1 MB
     reads, the tables are read field by field, seeking past each term's
     posting block, and the postings are then read back one block of whole
-    terms of about `_SLICE` postings at a time.  Terms are interned, as
-    `tokenize_corpus` interns tokens, so a query token and its term are
-    one object.
+    terms of about `_SLICE` postings at a time.  Terms are interned, as tokens are.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

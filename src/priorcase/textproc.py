@@ -85,15 +85,12 @@ def tokenize_corpus(
     Each text's tokens are lowercased, de-noised and stopped in one pass
     after the split: lowercasing U+0130 before it would add a split point.
 
-    Every kept token and every stem is interned (`sys.intern`), so equal
-    tokens are one `str` object under every preset, across calls and with
-    `load_index`'s terms: a repeated token costs a list slot, not a
-    string.  On CPython 3.11 the interned table holds no reference of its
-    own, so a token is freed with its last stream, index or vocabulary;
-    since PEP 683 (CPython 3.12) interned strings live as long as the
-    process, bounded by the vocabulary it has seen.  The stem memo lives
-    for the call and no longer: it holds each distinct word's Porter stem,
-    a pure function of the word, so each word is stemmed once per call.
+    Kept tokens and stems are interned, so equal tokens are one `str`
+    under every preset, across calls and with `load_index`'s terms: a
+    repeat costs a list slot.  CPython 3.11 frees an interned string with
+    its last reference; 3.12 (PEP 683; unverified) keeps it for the life
+    of the process, bounded by the vocabulary seen.  A per-call memo holds
+    each distinct word's Porter stem, so each is stemmed once per call.
     """
     stopset = frozenset()
     if config.remove_stopwords:

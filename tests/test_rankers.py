@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -909,6 +910,76 @@ class TestEmbedMatrix:
         both = EmbeddingStore({"d00": [], "d02": [v], "q": [v]})
         with pytest.raises(ValueError, match="document has no chunk vectors"):
             Searcher(index, embeddings=both).score("embed", [], query_id="q")
+
+    def test_a_norm_that_is_not_finite_fails_embed_only(self):
+        index = _chunk_index(3)
+        v, huge = np.array([1.0, 0.0]), np.array([1e200, 1e200])
+        store = EmbeddingStore({"d00": [v], "d01": [v, huge], "d02": [np.array([np.nan, 1.0])],
+                                "q": [v], "big": [huge], "inf": [np.array([np.inf, 0.0])]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            searcher = Searcher(index, embeddings=store)  # lexical scorers still work
+            assert searcher.score("bm25", ["t"])[0] == ("d00", 0.0)
+            with pytest.raises(ValueError, match="^embedding of document 'd01' chunk 1: vector "
+                                                 "norm overflows to inf; scale the vector down$"):
+                searcher.score("embed", [], query_id="q")
+            store.vectors["d01"] = [v]
+            with pytest.raises(ValueError, match="^embedding of document 'd02' chunk 0: vector "
+                                                 "contains a non-finite value$"):
+                Searcher(index, embeddings=store).score("embed", [], query_id="q")
+            store.vectors["d02"] = [v]
+            searcher = Searcher(index, embeddings=store)
+            with pytest.raises(ValueError, match="^embedding of query 'big': vector norm overflows"):
+                searcher.score("embed", [], query_id="big")
+            with pytest.raises(ValueError, match="^embedding of query 'inf': vector contains a non"):
+                searcher.score("embed", [], query_id="inf")
+            assert searcher.score("embed", [], query_id="q") == [("d00", 1.0), ("d01", 1.0),
+                                                                  ("d02", 1.0)]
+
+
+def _norm_fault(values):
+    """The cause `embed` names for a vector, from Python floats: a square
+    or a sum that overflows is inf, and a NaN stays NaN."""
+    if math.isfinite(math.sqrt(sum(x * x for x in values))):
+        return None
+    if all(map(math.isfinite, values)):
+        return "norm overflows to inf; scale the vector down"
+    return "contains a non-finite value"
+
+
+# zero, ordinary and huge-but-finite elements whose norm stays finite (below
+# about 1.34e154), then elements whose norm does not
+_FINITE_NORM = st.sampled_from([0.0, 1.0, -2.5, 1e-160, 1e150, -1e153])
+_ELEMENT = _FINITE_NORM | st.sampled_from([1e155, 1e200, 1e308, math.inf, math.nan])
+_VECTOR = (st.just([0.0] * 3) | st.lists(_FINITE_NORM, min_size=3, max_size=3)
+           | st.lists(_ELEMENT, min_size=3, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(_VECTOR, min_size=1, max_size=3), min_size=1, max_size=5), _VECTOR)
+@example([[[1e200, 1e200, 0.0]], [[1.0, 1.0, 0.0]]], [1.0, 0.0, 0.0])
+@example([[[1.0, 1.0, 0.0]], [[1.0, 0.0, 0.0]]], [1e200, 1e200, 0.0])
+def test_embed_is_finite_or_one_defined_error(docs, query):
+    index = _chunk_index(len(docs))
+    store = EmbeddingStore({**{f"d{i:02d}": [np.array(c) for c in chunks]
+                               for i, chunks in enumerate(docs)},
+                            "q": [np.array(query)]})
+    # the first faulty chunk by document position, then the query
+    faults = [(f"document 'd{i:02d}' chunk {j}", _norm_fault(c))
+              for i, chunks in enumerate(docs) for j, c in enumerate(chunks)]
+    faults.append(("query 'q'", _norm_fault(query)))
+    where, cause = next((f for f in faults if f[1]), (None, None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        searcher = Searcher(index, embeddings=store)
+        if cause:
+            with pytest.raises(ValueError) as exc:
+                searcher.score("embed", [], query_id="q")
+            assert str(exc.value) == f"embedding of {where}: vector {cause}"
+        else:
+            ranking = searcher.score("embed", [], query_id="q")
+            assert len(ranking) == len(docs)
+            assert all(math.isfinite(score) for _doc, score in ranking)
 
 
 class TestRakeVocabulary:

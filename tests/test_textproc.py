@@ -3,12 +3,15 @@
 import itertools
 import re
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import priorcase.textproc as textproc
+from priorcase.index import build_index, load_index, persist_index
 from priorcase.stopwords import ENGLISH_STOPWORDS, load_stopword_file
 from priorcase.textproc import (
     PRESET_FULL,
@@ -37,6 +40,13 @@ SEPARATORS = [" ", "  ", ", ", ".\n", "-", "!"]
 # character; U+0130 lowercases to "i" plus a combining dot; superscript two
 # and roman numeral twelve are alphanumeric, and the first is a digit
 TRICKY = " \t\n_-.,\u00a0\u200b\x1c\x1d\x1e\x1f\u0130\u00b2\u216baZ7"
+_LEASE_TEXT = ("The tenant paid the rent in March; the landlord said the rent was late, "
+               "and the court heard the tenant's appeal of the lease. The judge found the "
+               "lease valid, the rent paid and the landlord's appeal without merit. ") * 2
+
+
+class _Text(str):
+    """A `str` subclass, which `sys.intern` rejects: its words must come out as `str`."""
 
 
 class TestPipelineStages:
@@ -147,24 +157,41 @@ class TestCorpusBatch:
         ),
         config=st.sampled_from([PRESET_NONE, PRESET_STANDARD, PRESET_FULL]),
     )
-    # two words, one stem: "judg"
-    @example(texts=["judge judges", "Judges"], config=PRESET_FULL)
+    # two words, one stem: "judg"; and equal words in separate texts
+    @example(texts=["judge judges", "Judges", "ruling judges"], config=PRESET_FULL)
+    @example(texts=["Judges ruling", "judges RULING"], config=PRESET_STANDARD)
+    @example(texts=["Judges ruling", "Judges ruling"], config=PRESET_NONE)
     def test_equal_tokens_of_one_call_are_one_object(self, texts, config):
         streams = tokenize_corpus(texts, config)
-        tokens = [t for stream in streams for t in stream]
+        # one call per text, each text a `str` subclass, must give the same objects
+        singles = [tokenize_normalize(_Text(t), config) for t in texts]
+        tokens = [t for stream in streams + singles for t in stream]
         assert len({id(t) for t in tokens}) == len(set(tokens))
-        assert streams == [naive_tokenize(t, config, ENGLISH_STOPWORDS) for t in texts]
+        assert streams == singles == [naive_tokenize(t, config, ENGLISH_STOPWORDS) for t in texts]
+        if not tokens:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.bin"
+            persist_index(build_index([(f"d{i}", s) for i, s in enumerate(singles)], "fp"), path)
+            terms = load_index(path).terms
+        by_value = {t: t for t in tokens}
+        assert all(by_value[term] is term for term in terms)
 
     @pytest.mark.parametrize("config", [PRESET_NONE, PRESET_STANDARD, PRESET_FULL])
     def test_repeated_tokens_cost_a_list_slot(self, config):
-        text = ("The tenant paid the rent in March; the landlord said the rent was late, "
-                "and the court heard the tenant's appeal of the lease. The judge found the "
-                "lease valid, the rent paid and the landlord's appeal without merit. ") * 2
-        texts = [text] * 1000
+        texts = [_LEASE_TEXT] * 1000
         streams, peak = traced_peak(lambda: tokenize_corpus(texts, config))
         n_tokens = sum(map(len, streams))
         assert n_tokens >= 1000 * 40
         # a list slot is 8 B; a string of its own would be about 56 B more
+        assert peak < 12 * n_tokens + 20_000
+
+    @pytest.mark.parametrize("config", [PRESET_NONE, PRESET_STANDARD, PRESET_FULL])
+    def test_repeated_tokens_cost_a_list_slot_one_call_per_text(self, config):
+        texts = [_LEASE_TEXT] * 1000
+        streams, peak = traced_peak(lambda: [tokenize_normalize(t, config) for t in texts])
+        n_tokens = sum(map(len, streams))
+        assert n_tokens >= 1000 * 40
         assert peak < 12 * n_tokens + 20_000
 
     def test_each_distinct_token_is_stemmed_once_per_call(self, monkeypatch):
